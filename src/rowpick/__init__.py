@@ -23,6 +23,7 @@ from .decompose import (
     ArpConfig,
     InterpolativeDecomposition,
     arp_decompose,
+    fro_norm,
     rangefinder,
     residual_fro,
 )
@@ -122,6 +123,7 @@ __all__ = [
     "enumerate_kdpp_probs",
     "enumerate_volume_probs",
     "expected_type1_error",
+    "fro_norm",
     "gen_decay_dense",
     "gen_decay_sparse",
     "gen_kernel",

@@ -34,6 +34,7 @@ from .decompose import (
     _round_up_multiple,
     _take_rows,
     arp_decompose,
+    fro_norm,
     residual_fro,
 )
 from .errors import InvalidParamError, RowpickError
@@ -137,7 +138,7 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
     A = spec.build()
     desc = spec.describe()
     m, n = A.shape
-    fro = sp.linalg.norm(A) if sp.issparse(A) else float(np.linalg.norm(A))
+    fro = fro_norm(A)
     records = []
     for method in methods:
         for k in k_list:

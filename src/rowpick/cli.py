@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bench import METHOD_ORDER, canonical_method, run_bench, run_method
-from .decompose import residual_fro
+from .decompose import fro_norm, residual_fro
 from .errors import RowpickError
 from .matrices import MatrixSpec
 from .verify import run_verify
@@ -102,7 +102,7 @@ def _cmd_decompose(args):
     dec = run_method(method, A, args.k, rng, zeta=args.zeta,
                      oversample=args.oversample)
     wall = time.perf_counter() - t0
-    fro = sp.linalg.norm(A) if sp.issparse(A) else float(np.linalg.norm(A))
+    fro = fro_norm(A)
     rel = residual_fro(A, dec) / fro
     report = {
         "method": method,

@@ -15,6 +15,7 @@ Variants
     ``Phi``; a fast approximation to type2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from .samplers import PivotSet, rejection_rpqr
 from .sketch import sparse_sign_embedding, sketch_apply
 
 VARIANTS = ("type1", "type2", "osid")
+RESIDUAL_BLOCK_ENTRIES = 2**21  # float64 entries in one residual row block: 16 MB
+SCALE_FREE_EXP = 256  # norms leave max|A| in [2**-256, 2**256] unscaled
 
 
 @dataclass(frozen=True)
@@ -158,11 +161,62 @@ def arp_decompose(A, cfg, rng=None):
     )
 
 
-def residual_fro(A, dec, block_cols=1024):
-    """Frobenius norm of ``A - W @ A[S, :]``.
+def _scale_exponent(x):
+    """Exponent ``e`` of ``max|x|`` when that lies outside
+    ``[2**-SCALE_FREE_EXP, 2**SCALE_FREE_EXP]``, else 0.
 
-    Sparse inputs are streamed in column blocks so the full approximation
-    is never materialized.
+    Dividing by ``2**e`` keeps sums of squares clear of overflow and
+    underflow. It is exact, and inputs inside the window are not scaled at
+    all, so their results keep their bits.
+    """
+    if not x.size:
+        return 0
+    e = math.frexp(max(float(x.max()), -float(x.min())))[1]
+    return e if abs(e) > SCALE_FREE_EXP else 0
+
+
+def _scaled(x, e):
+    return np.ldexp(x, -e) if e else x
+
+
+def _unscaled_root(sumsq, e):
+    """``sqrt(sumsq) * 2**e``; inf, not an error, past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(sumsq), e))
+
+
+def _canonical(A, array_type):
+    """Sparse ``A`` as ``array_type`` with sorted, duplicate-free indices.
+    ``A`` itself is never modified: duplicates are summed in a copy."""
+    A = array_type(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
+
+
+def fro_norm(A):
+    """Frobenius norm of dense or sparse ``A``, free of overflow and
+    underflow at any scale of ``A``."""
+    if sp.issparse(A):
+        x = _canonical(A, sp.csc_array).data
+    else:
+        x = np.asarray(A, dtype=np.float64).ravel(order="K")
+    e = _scale_exponent(x)
+    x = _scaled(x, e)
+    return _unscaled_root(float(x.dot(x)), e)
+
+
+def residual_fro(A, dec, block_rows=None):
+    """Frobenius norm of ``A - W @ A[S, :]``, dense or sparse ``A``.
+
+    Runs over blocks of ``block_rows`` rows, by default as many as fit
+    ``RESIDUAL_BLOCK_ENTRIES`` float64 entries (16 MB). The memory it needs
+    is that one block plus ``A[S, :]``, and for sparse ``A`` a canonical
+    CSR copy when ``A`` is not one, whatever the row count. Each block is
+    scaled by the power of two :func:`fro_norm` uses, so
+    ``residual_fro(A, dec) / fro_norm(A)`` does not change when ``A`` is
+    scaled by a power of two.
     """
     S = dec.pivots.indices
     W = dec.w
@@ -170,14 +224,31 @@ def residual_fro(A, dec, block_cols=1024):
         raise DimensionMismatchError("W row count must match A")
     if len(S) != W.shape[1]:
         raise DimensionMismatchError("W column count must match the pivot count")
-    if not sp.issparse(A):
+    m, n = A.shape
+    if block_rows is None:
+        block_rows = max(1, RESIDUAL_BLOCK_ENTRIES // max(n, 1))
+    if block_rows < 1:
+        raise InvalidParamError("block_rows must be >= 1")
+    sparse = sp.issparse(A)
+    if sparse:
+        A = _canonical(A, sp.csr_array)
+        e = _scale_exponent(A.data)
+    else:
         A = np.asarray(A, dtype=np.float64)
-        return float(np.linalg.norm(A - W @ A[S, :]))
-    A = sp.csc_array(A)
-    rows = sp.csc_array(sp.csr_array(A)[S, :])
+        e = _scale_exponent(A)
+    R = _scaled(_take_rows(A, S), e)
+    buf = np.empty((min(block_rows, m), n))
     total = 0.0
-    for lo in range(0, A.shape[1], block_cols):
-        hi = min(lo + block_cols, A.shape[1])
-        diff = A[:, lo:hi].toarray() - W @ rows[:, lo:hi].toarray()
-        total += float(np.einsum("ij,ij->", diff, diff))
-    return float(np.sqrt(total))
+    for lo in range(0, m, block_rows):
+        hi = min(lo + block_rows, m)
+        D = np.matmul(W[lo:hi], R, out=buf[:hi - lo])
+        f = D.reshape(-1)
+        if sparse:
+            ptr = A.indptr[lo:hi + 1]
+            at = np.repeat(np.arange(0, (hi - lo) * n, n), np.diff(ptr))
+            at += A.indices[ptr[0]:ptr[-1]]
+            f[at] -= _scaled(A.data[ptr[0]:ptr[-1]], e)
+        else:
+            D -= _scaled(A[lo:hi], e)
+        total += float(f.dot(f))
+    return _unscaled_root(total, e)

@@ -23,11 +23,12 @@ from .linalg import HouseholderQR, squared_row_norms
 ACCEPT_SLACK = 1e-12  # roundoff allowance on acceptance ratios
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PivotSet:
     """Ordered, duplicate-free row indices in ``[0, m)``.
 
-    ``indices`` preserves selection order.
+    ``indices`` preserves selection order, and equality and hashing respect
+    it: ``[1, 2]`` and ``[2, 1]`` are different pivot sets.
     """
 
     indices: np.ndarray
@@ -44,6 +45,17 @@ class PivotSet:
                 raise IndexError(f"pivot index out of range [0, {self.m})")
             if len(set(values)) != idx.size:
                 raise ValueError("pivot indices must be distinct")
+
+    def _key(self):
+        return tuple(self.indices.tolist()), self.m
+
+    def __eq__(self, other):
+        if not isinstance(other, PivotSet):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __len__(self):
         return self.indices.size
@@ -117,8 +129,9 @@ def _accept_pass(H, lev, rng, accept_bias):
     for i, lev_i in enumerate(lev):
         hii = H.item(i, i)
         # ratio validity: projections never grow norms beyond roundoff
-        assert hii <= lev_i + ACCEPT_SLACK, \
-            "acceptance ratio above 1: residual diagonal exceeds leverage score"
+        if not hii <= lev_i + ACCEPT_SLACK:
+            raise NotOrthonormalError(
+                "acceptance ratio above 1: residual diagonal exceeds leverage score")
         draw = lev_i * random()
         if (draw < hii) if accept_bias == 0.0 else (draw <= hii + accept_bias):
             accepted.append(i)

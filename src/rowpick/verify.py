@@ -9,7 +9,6 @@ import sys
 from collections import Counter
 
 import numpy as np
-from scipy import stats
 
 from .decompose import ArpConfig, arp_decompose, residual_fro
 from .errors import RowpickError
@@ -45,6 +44,8 @@ def _empirical(sample_fn, draws):
 
 
 def _chi_square_pvalue(dist, empirical, draws):
+    from scipy import stats  # costs ~0.5 s, so not paid by `import rowpick`
+
     expected = np.array([dist.probs[t] * draws for t in dist.support()])
     observed = np.array([empirical.get(t, 0.0) * draws for t in dist.support()])
     stat = float(np.sum((observed - expected) ** 2 / expected))

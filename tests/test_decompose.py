@@ -1,8 +1,11 @@
 """Driver tests: rangefinder quality, the three interpolation variants,
 the enumeration-scale expectation identity, and residual evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rowpick import (
     ArpConfig,
@@ -11,6 +14,7 @@ from rowpick import (
     arp_decompose,
     enumerate_volume_probs,
     expected_type1_error,
+    fro_norm,
     gen_decay_sparse,
     orth,
     rangefinder,
@@ -216,14 +220,63 @@ class TestResidualFro:
         )
         assert residual_fro(A, dec) == pytest.approx(np.linalg.norm(A), rel=1e-14)
 
-    def test_sparse_streaming_matches_dense(self):
+    @staticmethod
+    def _inputs(A):
+        """``A`` (canonical CSC) in every form ``residual_fro`` accepts,
+        the last two holding each entry as two equal halves."""
+        halves = np.repeat(A.data / 2, 2)
+        rows = np.repeat(A.indices, 2)
+        cols = np.repeat(np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)), 2)
+        return {
+            "dense": A.toarray(),
+            "csc": A,
+            "csr": sp.csr_array(A),
+            "coo-duplicates": sp.coo_array((halves, (rows, cols)), shape=A.shape),
+            "csc-duplicates": sp.csc_array((halves, rows, 2 * A.indptr), shape=A.shape),
+        }
+
+    @pytest.mark.parametrize("block", [1, 37, "m", "m+5"])
+    @pytest.mark.parametrize(
+        "form", ["dense", "csc", "csr", "coo-duplicates", "csc-duplicates"])
+    def test_row_blocks_match_dense(self, form, block):
         rng = np.random.default_rng(1)
         A = gen_decay_sparse(300, 120, 10, rng)
         cfg = ArpConfig(k=6, zeta=2, variant="type2", seed=3)
         dec = arp_decompose(A, cfg)
-        streamed = residual_fro(A, dec, block_cols=37)
+        block_rows = {"m": 300, "m+5": 305}.get(block, block)
+        blocked = residual_fro(self._inputs(A)[form], dec, block_rows=block_rows)
         dense = np.linalg.norm(A.toarray() - dec.w @ A.toarray()[dec.pivots.indices, :])
-        assert streamed == pytest.approx(dense, rel=1e-12)
+        assert blocked == pytest.approx(dense, rel=1e-12)
+
+    def test_block_rows_validated(self):
+        A = np.eye(4)
+        dec = arp_decompose(A, ArpConfig(k=2, zeta=1, variant="type1", seed=0))
+        with pytest.raises(InvalidParamError):
+            residual_fro(A, dec, block_rows=0)
+
+    def test_sparse_memory_bounded(self):
+        A = gen_decay_sparse(20000, 2000, 30, np.random.default_rng(0))
+        dec = arp_decompose(A, ArpConfig(k=60, variant="type1", seed=0))
+        tracemalloc.start()
+        try:
+            residual_fro(A, dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_relative_residual_scale_invariant(self, sparse):
+        rng = np.random.default_rng(2)
+        A = gen_decay_sparse(200, 50, 8, rng)
+        if not sparse:
+            A = A.toarray()
+        dec = arp_decompose(A, ArpConfig(k=5, zeta=1, variant="type2", seed=1))
+        rel = residual_fro(A, dec) / fro_norm(A)
+        assert 0.0 < rel < 1.0
+        for j in (-600, 600):
+            scaled = A * 2.0**j
+            assert residual_fro(scaled, dec) / fro_norm(scaled) == rel
 
     def test_shape_checks(self):
         from rowpick import InterpolativeDecomposition, PivotSet
@@ -237,3 +290,41 @@ class TestResidualFro:
         )
         with pytest.raises(DimensionMismatchError):
             residual_fro(np.zeros((6, 3)), dec)
+
+
+class TestFroNorm:
+    def test_matches_numpy_bit_for_bit(self):
+        A = np.random.default_rng(0).standard_normal((40, 30))
+        assert fro_norm(A) == float(np.linalg.norm(A))
+        assert fro_norm(np.asfortranarray(A)) == float(np.linalg.norm(np.asfortranarray(A)))
+        S = sp.csc_array(A * (np.abs(A) > 1))
+        assert fro_norm(S) == float(np.linalg.norm(S.data))
+
+    def test_duplicates_summed(self):
+        S = sp.coo_array((np.array([1.0, 2.0, 4.0]), ([0, 0, 1], [0, 0, 1])), shape=(2, 2))
+        assert fro_norm(S) == 5.0
+
+    @pytest.mark.parametrize("j", [-1070, -600, 600, 1000])
+    def test_extreme_scales(self, j):
+        A = np.array([[3.0, 4.0], [0.0, 0.0]])
+        assert fro_norm(A * 2.0**j) == 5.0 * 2.0**j
+        assert fro_norm(sp.csr_array(A) * 2.0**j) == 5.0 * 2.0**j
+
+    def test_norm_past_float_range_is_inf(self):
+        from rowpick import InterpolativeDecomposition, PivotSet
+
+        A = np.full((2, 2), 2.0**1023)
+        assert fro_norm(A) == np.inf
+        dec = InterpolativeDecomposition(
+            pivots=PivotSet([0], 2),
+            w=np.zeros((2, 1)),
+            variant="type2",
+            effective_rank=1,
+            config=ArpConfig(k=1),
+        )
+        assert residual_fro(A, dec) == np.inf
+
+    def test_zero_and_empty(self):
+        assert fro_norm(np.zeros((3, 2))) == 0.0
+        assert fro_norm(np.zeros((0, 2))) == 0.0
+        assert fro_norm(sp.csc_array((3, 2))) == 0.0

@@ -44,6 +44,16 @@ class TestPivotSet:
         with pytest.raises(IndexError):
             PivotSet(np.array([4]), 4)
 
+    def test_equality_and_hash(self):
+        a, b = PivotSet(np.array([1, 2]), 5), PivotSet([1, 2], 5)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != PivotSet([2, 1], 5)
+        assert a != PivotSet([1, 2], 6)
+        assert a != (1, 2)
+        assert {a, b, PivotSet([2, 1], 5)} == {a, PivotSet([2, 1], 5)}
+        assert PivotSet([1, 2], 5) in {a}
+
 
 class TestLeverageMultinomial:
     def test_point_mass(self):
@@ -123,7 +133,7 @@ class TestRejectionSampleSubmatrix:
             gram=np.diag([1.5, 0.5]),
             lev_scores=np.array([1.0, 1.0]),
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(NotOrthonormalError, match="acceptance ratio above 1"):
             rejection_sample_submatrix(block, np.random.default_rng(3))
 
 

@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-
+import rowpick
 from rowpick import run_verify
 from rowpick.cli import main
 
@@ -43,6 +47,16 @@ class TestRunVerify:
         buf = io.StringIO()
         assert run_verify(seed=2, stream=buf, draws=2000) == 0
         assert run_verify(seed=2, stream=buf, draws=2000, corrupt=True) == 1
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(rowpick.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = "import sys, rowpick; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestCli:
