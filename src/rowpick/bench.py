@@ -25,11 +25,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .decompose import (
     ArpConfig,
-    InterpolativeDecomposition,
+    _decomposition,
     _pinv_apply,
     _round_up_multiple,
     _take_rows,
@@ -104,14 +103,10 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0, max_rounds=64):
                               oversample, rng)
         variant = "osid"
     else:  # RPQR: sequential selection on the full matrix, projection W
-        M = A.toarray().T if sp.issparse(A) else np.asarray(A, dtype=np.float64).T
-        pivots = rpqr_sequential(M, k, rng)
+        pivots = rpqr_sequential(A.T, k, rng)
         W, fallback = _pinv_apply(A, _take_rows(A, pivots.indices))
         variant = "type2"
-    return InterpolativeDecomposition(
-        pivots=pivots, w=W, variant=variant, effective_rank=len(pivots),
-        config=cfg, pinv_fallback=fallback,
-    )
+    return _decomposition(pivots, W, variant, len(pivots), cfg, fallback)
 
 
 def _cell_rng(seed, k):

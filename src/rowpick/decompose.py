@@ -15,7 +15,6 @@ Variants
     ``Phi``; a fast approximation to type2.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +22,21 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidParamError, RankDeficientError
-from .linalg import apply_pinv_right, orth, svd_pinv_apply
+from .linalg import (
+    BLOCK_ENTRIES,
+    _canonical,
+    _scale_exponent,
+    _scaled,
+    _unscaled_root,
+    apply_pinv_right,
+    orth,
+    svd_pinv_apply,
+    vector_norm,
+)
 from .samplers import PivotSet, rejection_rpqr
 from .sketch import sparse_sign_embedding, sketch_apply
 
 VARIANTS = ("type1", "type2", "osid")
-RESIDUAL_BLOCK_ENTRIES = 2**21  # float64 entries in one residual row block: 16 MB
-SCALE_FREE_EXP = 256  # norms leave max|A| in [2**-256, 2**256] unscaled
 
 
 @dataclass(frozen=True)
@@ -60,16 +67,20 @@ class ArpConfig:
             raise InvalidParamError("max_rounds must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterpolativeDecomposition:
     """A row interpolative decomposition ``A ~= W @ A[S, :]``.
 
-    ``w[S, :]`` equals the identity (to 1e-10) whenever the inverted or
-    pseudoinverted factor had full numerical rank. ``effective_rank`` is the
+    In the decompositions this library builds, ``w[S, :]`` is exactly the
+    identity unless ``pinv_fallback`` is set. ``effective_rank`` is the
     number of pivots actually produced, which drops below ``config.k`` when
     the rangefinder detects lower numerical rank. ``pinv_fallback`` flags
     that a rank-deficient pseudoinverse was replaced by its truncated-SVD
-    variant.
+    variant, whose pivot rows are left as computed.
+
+    Two decompositions are equal, and hash alike, when their pivots,
+    variant, rank, config and fallback flag are equal and ``w`` has the
+    same shape and the same bytes.
     """
 
     pivots: PivotSet
@@ -78,6 +89,32 @@ class InterpolativeDecomposition:
     effective_rank: int
     config: ArpConfig
     pinv_fallback: bool = False
+
+    def _key(self):
+        w = np.asarray(self.w)
+        return (self.pivots, w.shape, w.tobytes(), self.variant,
+                self.effective_rank, self.config, self.pinv_fallback)
+
+    def __eq__(self, other):
+        if not isinstance(other, InterpolativeDecomposition):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def _decomposition(pivots, W, variant, rank, cfg, fallback):
+    """The decomposition with the pivot rows of ``W`` set to the identity,
+    which they equal in exact arithmetic whenever the inverted or
+    pseudoinverted factor has full numerical rank, so everywhere but after
+    the truncated-SVD fallback. Overwrites those rows of ``W``."""
+    if not fallback:
+        W[pivots.indices, :] = np.eye(len(pivots))
+    return InterpolativeDecomposition(
+        pivots=pivots, w=W, variant=variant, effective_rank=rank, config=cfg,
+        pinv_fallback=fallback,
+    )
 
 
 def _round_up_multiple(k, zeta):
@@ -151,48 +188,7 @@ def arp_decompose(A, cfg, rng=None):
         phi = sparse_sign_embedding(n, width, cfg.zeta, rng)
         rows = _take_rows(A, S)
         W, fallback = _pinv_apply(sketch_apply(A, phi), sketch_apply(rows, phi))
-    return InterpolativeDecomposition(
-        pivots=pivots,
-        w=W,
-        variant=cfg.variant,
-        effective_rank=k_eff,
-        config=cfg,
-        pinv_fallback=fallback,
-    )
-
-
-def _scale_exponent(x):
-    """Exponent ``e`` of ``max|x|`` when that lies outside
-    ``[2**-SCALE_FREE_EXP, 2**SCALE_FREE_EXP]``, else 0.
-
-    Dividing by ``2**e`` keeps sums of squares clear of overflow and
-    underflow. It is exact, and inputs inside the window are not scaled at
-    all, so their results keep their bits.
-    """
-    if not x.size:
-        return 0
-    e = math.frexp(max(float(x.max()), -float(x.min())))[1]
-    return e if abs(e) > SCALE_FREE_EXP else 0
-
-
-def _scaled(x, e):
-    return np.ldexp(x, -e) if e else x
-
-
-def _unscaled_root(sumsq, e):
-    """``sqrt(sumsq) * 2**e``; inf, not an error, past the float range."""
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(math.sqrt(sumsq), e))
-
-
-def _canonical(A, array_type):
-    """Sparse ``A`` as ``array_type`` with sorted, duplicate-free indices.
-    ``A`` itself is never modified: duplicates are summed in a copy."""
-    A = array_type(A)
-    if not A.has_canonical_format:
-        A = A.copy()
-        A.sum_duplicates()
-    return A
+    return _decomposition(pivots, W, cfg.variant, k_eff, cfg, fallback)
 
 
 def fro_norm(A):
@@ -202,16 +198,14 @@ def fro_norm(A):
         x = _canonical(A, sp.csc_array).data
     else:
         x = np.asarray(A, dtype=np.float64).ravel(order="K")
-    e = _scale_exponent(x)
-    x = _scaled(x, e)
-    return _unscaled_root(float(x.dot(x)), e)
+    return vector_norm(x)
 
 
 def residual_fro(A, dec, block_rows=None):
     """Frobenius norm of ``A - W @ A[S, :]``, dense or sparse ``A``.
 
     Runs over blocks of ``block_rows`` rows, by default as many as fit
-    ``RESIDUAL_BLOCK_ENTRIES`` float64 entries (16 MB). The memory it needs
+    ``BLOCK_ENTRIES`` float64 entries (16 MB). The memory it needs
     is that one block plus ``A[S, :]``, and for sparse ``A`` a canonical
     CSR copy when ``A`` is not one, whatever the row count. Each block is
     scaled by the power of two :func:`fro_norm` uses, so
@@ -226,7 +220,7 @@ def residual_fro(A, dec, block_rows=None):
         raise DimensionMismatchError("W column count must match the pivot count")
     m, n = A.shape
     if block_rows is None:
-        block_rows = max(1, RESIDUAL_BLOCK_ENTRIES // max(n, 1))
+        block_rows = max(1, BLOCK_ENTRIES // max(n, 1))
     if block_rows < 1:
         raise InvalidParamError("block_rows must be >= 1")
     sparse = sp.issparse(A)

@@ -7,8 +7,14 @@ Conventions used throughout the library:
   storage order;
 * sparse matrices are ``scipy.sparse.csc_array`` in canonical form
   (sorted row indices, no duplicates);
-* the relative cutoff for every triangular-diagonal rank decision is the
-  single constant ``RANK_RTOL``.
+* the relative cutoff for every rank decision is the single constant
+  ``RANK_RTOL``, taken relative to a Frobenius norm that neither overflows
+  nor underflows at any scale of the input;
+* :func:`orth`, :class:`HouseholderQR` and the samplers run on numpy's BLAS
+  and LAPACK. numpy and scipy each bundle their own OpenBLAS, whose idle
+  worker threads spin for about 0.1 s after a threaded call; on a two-core
+  machine a threaded call into the other library meanwhile runs several
+  times slower, which a sampler called right after ``orth`` would pay.
 """
 
 import math
@@ -19,11 +25,57 @@ import scipy.linalg as sla
 from .errors import (
     DimensionMismatchError,
     EmptyMatrixError,
+    InvalidParamError,
     RankDeficientError,
     RankDeficientUpdateError,
 )
 
 RANK_RTOL = 1e-12
+BLOCK_ENTRIES = 2**21  # float64 entries in one block of a blocked pass: 16 MB
+SCALE_FREE_EXP = 256  # norms leave max|x| in [2**-256, 2**256] unscaled
+
+
+def _scale_exponent(x):
+    """Exponent ``e`` of ``max|x|`` when that lies outside
+    ``[2**-SCALE_FREE_EXP, 2**SCALE_FREE_EXP]``, else 0.
+
+    Dividing by ``2**e`` keeps sums of squares clear of overflow and
+    underflow. It is exact, and inputs inside the window are not scaled at
+    all, so their results keep their bits.
+    """
+    if not x.size:
+        return 0
+    e = math.frexp(max(float(x.max()), -float(x.min())))[1]
+    return e if abs(e) > SCALE_FREE_EXP else 0
+
+
+def _scaled(x, e):
+    return np.ldexp(x, -e) if e else x
+
+
+def _unscaled_root(sumsq, e):
+    """``sqrt(sumsq) * 2**e``; inf, not an error, past the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(sumsq), e))
+
+
+def vector_norm(x):
+    """Euclidean norm of the 1-D float64 array ``x``, free of overflow and
+    underflow. Inside the unscaled window it equals ``np.linalg.norm(x)``
+    bit for bit."""
+    e = _scale_exponent(x)
+    x = _scaled(x, e)
+    return _unscaled_root(float(x.dot(x)), e)
+
+
+def _canonical(A, array_type):
+    """Sparse ``A`` as ``array_type`` with sorted, duplicate-free indices.
+    ``A`` itself is never modified: duplicates are summed in a copy."""
+    A = array_type(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
 
 
 def _as_matrix(a, name="matrix"):
@@ -36,10 +88,11 @@ def _as_matrix(a, name="matrix"):
 def orth(B):
     """Orthonormal basis for the range of ``B``.
 
-    Uses column-pivoted QR. If ``B`` is numerically rank deficient (a
-    pivoted R diagonal entry falls below ``RANK_RTOL * ||B||_F``), only the
-    leading numerically independent columns are returned, so the output may
-    be narrower than ``B``.
+    Householder QR ``B = Q R``; the numerical rank is the number of
+    singular values of ``R``, which are those of ``B``, above
+    ``RANK_RTOL * ||B||_F``. The norm is scale-safe, so the rank of ``B``
+    and of ``2**j * B`` agree. If ``B`` is numerically rank deficient, the
+    basis is narrower than ``B``: its leading left singular vectors.
 
     Parameters
     ----------
@@ -49,6 +102,11 @@ def orth(B):
     -------
     Q : (m, r) ndarray, r <= n
         Orthonormal columns spanning range(B).
+
+    Raises
+    ------
+    InvalidParamError
+        ``B`` has a NaN or infinite entry, or a norm past the float range.
     """
     B = _as_matrix(B, "B")
     m, n = B.shape
@@ -56,11 +114,30 @@ def orth(B):
         raise EmptyMatrixError("cannot orthonormalize a matrix with zero columns")
     if m < n:
         raise DimensionMismatchError(f"need rows >= cols, got {m}x{n}")
-    Q, R, _ = sla.qr(B, mode="economic", pivoting=True)
-    tol = RANK_RTOL * np.linalg.norm(B)
-    # pivoting makes |R[i,i]| non-increasing, so the rank is a prefix length
-    rank = int(np.count_nonzero(np.abs(np.diag(R)) > tol))
-    return np.ascontiguousarray(Q[:, :rank])
+    tol = RANK_RTOL * vector_norm(B.ravel(order="K"))
+    if not math.isfinite(tol):
+        raise InvalidParamError(
+            "B has a NaN or infinite entry, or a norm past the float range")
+    h, tau = np.linalg.qr(B, mode="raw")
+    F = h.T  # R on and above the diagonal, the reflectors' tails below
+    R = np.triu(F[:n])
+    rank = int(np.count_nonzero(np.linalg.svd(R, compute_uv=False) > tol))
+    # Q = (H_1 ... H_n)[:, :n] = E - V T V[:n]^T, with T from the recurrence
+    # of LAPACK's dlarft, which numpy does not expose
+    V = F  # overwritten: the unit lower trapezoid of reflectors
+    V[np.triu_indices(n)] = 0.0
+    np.fill_diagonal(V, 1.0)
+    G = V.T @ V
+    T = np.zeros((n, n))
+    for j, t in enumerate(tau.tolist()):
+        T[:j, j] = -t * (T[:j, :j] @ G[:j, j])
+        T[j, j] = t
+    Q = V @ (T @ V[:n].T)
+    np.negative(Q, out=Q)
+    Q[:n] += np.eye(n)
+    if rank < n:
+        Q = Q @ np.linalg.svd(R)[0][:, :rank]
+    return np.ascontiguousarray(Q)
 
 
 def squared_row_norms(Q):
@@ -123,6 +200,16 @@ class HouseholderQR:
         T = self._T[:k, :k]
         return M - V @ (T.T @ (V.T @ M))
 
+    def _complement_t(self, M):
+        # P^T M = _apply_product_t(M)[k:] for P = (H_1 ... H_k)[:, k:], the
+        # orthonormal complement of the absorbed columns; forming P costs
+        # d k (d - k) multiply-adds, so it pays once k passes about d / 2
+        k = self.k_cur
+        V = self._V[:, :k]
+        P = -(V @ (self._T[:k, :k] @ V[k:].T))
+        P[k:].flat[:: self.d - k + 1] += 1.0  # P[k:] is the identity less a product
+        return P.T @ M
+
     def _apply_product(self, M):
         # (H_1 ... H_k) M = M - V T (V^T M)
         k = self.k_cur
@@ -141,7 +228,8 @@ class HouseholderQR:
         RankDeficientUpdateError
             A new column is numerically in the span of the absorbed ones
             (its fresh diagonal entry is below ``RANK_RTOL`` relative to the
-            column's norm), the signature of a duplicate pivot.
+            column's norm), the signature of a duplicate pivot. Nothing of
+            the block is absorbed then.
         """
         C = np.asarray(new_cols, dtype=np.float64)
         if C.ndim == 1:
@@ -163,40 +251,57 @@ class HouseholderQR:
     def _absorb(self, C):
         # update() on a checked float64 block with room for its columns
         i0 = self.k_cur
-        a = C.shape[1]
-        self._ensure_capacity(i0 + a)
+        i1 = i0 + C.shape[1]
+        self._ensure_capacity(i1)
         W = self._apply_product_t(C) if i0 else C.copy()
+        self._factor(W, i0, 0)
+        V, T = self._V, self._T
+        if i0:  # couple the new reflectors to the stored ones
+            T[:i0, i0:i1] = -(T[:i0, :i0] @ (V[i0:, :i0].T @ V[i0:, i0:i1])
+                              @ T[i0:i1, i0:i1])
+        self.k_cur = i1
+
+    def _factor(self, W, i0, j):
+        # Householder QR of the columns j, j+1, ... of an update whose first
+        # column goes to position i0; W holds them in the coordinates of the
+        # reflectors before position i0 + j. Halving the block recursively,
+        # as LAPACK's dgeqrt3 does, turns the trailing updates and the
+        # coupling of the two halves' T blocks into matrix products.
         V, T, R = self._V, self._T, self._Rfull
-        for j in range(a):
-            i = i0 + j
-            x = W[i:, j]
-            normx2 = float(x.dot(x))
-            # reflections keep column norms, so the norm of the whole column
-            # of W is the norm of the new column
-            above = W[:i, j]
-            norm2 = normx2 + float(above.dot(above)) if i else normx2
-            if normx2 <= (RANK_RTOL * RANK_RTOL) * norm2 or norm2 == 0.0:
-                raise RankDeficientUpdateError(
-                    f"column {j} of the update is numerically dependent "
-                    f"(residual^2 {normx2:.3e} vs norm^2 {norm2:.3e})"
-                )
-            alpha = x.item(0)
-            beta = -math.copysign(math.sqrt(normx2), alpha)
-            v0 = alpha - beta  # no cancellation: signs of alpha and -beta agree
-            tau = -v0 / beta
-            v = V[i:, i]  # the reflector's rows above i stay zero
-            v[0] = 1.0
-            if i + 1 < self.d:  # a reflector of the last row has no tail
-                np.divide(x[1:], v0, out=v[1:])
-            if j + 1 < a:
-                sub = W[i:, j + 1:]
-                sub -= np.multiply.outer(tau * v, v @ sub)
-            if i:
-                T[:i, i] = -tau * (T[:i, :i] @ (V[i:, :i].T @ v))
-                R[:i, i] = above
-            T[i, i] = tau
-            R[i, i] = beta
-            self.k_cur = i + 1
+        i = i0 + j
+        a = W.shape[1]
+        if a > 1:
+            h = a // 2
+            self._factor(W[:, :h], i0, j)
+            V1, T1 = V[i:, i:i + h], T[i:i + h, i:i + h]
+            rest = W[i:, h:]
+            rest -= V1 @ (T1.T @ (V1.T @ rest))
+            self._factor(W[:, h:], i0, j + h)
+            V2, T2 = V[i + h:, i + h:i + a], T[i + h:i + a, i + h:i + a]
+            T[i:i + h, i + h:i + a] = -(T1 @ (V1[h:].T @ V2) @ T2)
+            return
+        x = W[i:, 0]
+        normx2 = float(x.dot(x))
+        # reflections keep column norms, so the norm of the whole column
+        # of W is the norm of the new column
+        above = W[:i, 0]
+        norm2 = normx2 + float(above.dot(above)) if i else normx2
+        if normx2 <= (RANK_RTOL * RANK_RTOL) * norm2 or norm2 == 0.0:
+            raise RankDeficientUpdateError(
+                f"column {j} of the update is numerically dependent "
+                f"(residual^2 {normx2:.3e} vs norm^2 {norm2:.3e})"
+            )
+        alpha = x.item(0)
+        beta = -math.copysign(math.sqrt(normx2), alpha)
+        v0 = alpha - beta  # no cancellation: signs of alpha and -beta agree
+        v = V[i:, i]  # the reflector's rows above i stay zero
+        v[0] = 1.0
+        if i + 1 < self.d:  # a reflector of the last row has no tail
+            np.divide(x[1:], v0, out=v[1:])
+        T[i, i] = -v0 / beta
+        if i:
+            R[:i, i] = above
+        R[i, i] = beta
 
     def project_out(self, M):
         """Return ``(I - U U^T) M`` where U is the implicit orthonormal factor.
@@ -268,7 +373,7 @@ def apply_pinv_right(A, B):
         )
     Qb, Rb = sla.qr(B.T, mode="economic")
     diag = np.abs(np.diag(Rb))
-    if kb == 0 or np.min(diag) <= RANK_RTOL * np.linalg.norm(B):
+    if kb == 0 or np.min(diag) <= RANK_RTOL * vector_norm(B.ravel(order="K")):
         raise RankDeficientError(
             "B is numerically row rank deficient; pseudoinverse via QR refused"
         )

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DegenerateDistributionError,
@@ -18,7 +19,7 @@ from .errors import (
     NotOrthonormalError,
     RankDeficientError,
 )
-from .linalg import HouseholderQR, squared_row_norms
+from .linalg import BLOCK_ENTRIES, HouseholderQR, _canonical, squared_row_norms
 
 ACCEPT_SLACK = 1e-12  # roundoff allowance on acceptance ratios
 
@@ -115,32 +116,44 @@ def leverage_multinomial(lev_scores, count, rng):
     return _draw_from_cumulative(cum[:-1], cum[-1], count, rng)
 
 
-def _accept_pass(H, lev, rng, accept_bias):
-    """Accept/reject walk over the residual Gram ``H``, which it overwrites,
-    and the proposals' leverage scores ``lev`` (a list of floats).
+def _accept_pass(H, lev, rng, accept_bias, room):
+    """Accept/reject walk over the residual Gram ``H`` (symmetric, left
+    unchanged) and the proposals' leverage scores ``lev`` (a list of
+    floats). Stops after ``room`` acceptances.
 
-    Each proposal consumes one uniform, in order. An acceptance applies its
-    Schur-complement update to the trailing block only: the walk never reads
-    entries at or before the current position again.
+    Every proposal consumes one uniform, in order, drawn up front. The walk
+    is left-looking: it keeps the diagonal ``d`` of the Schur complement of
+    the accepted positions, and an acceptance at ``i`` computes one column
+    ``c`` of that complement from ``H`` and the columns kept so far, then
+    downdates ``d`` below ``i`` by ``c**2 / d[i]``.
     """
     nb = H.shape[0]
-    random = rng.random
+    draws = rng.random(nb).tolist()
+    d = H.diagonal().copy()
+    L = None  # the Schur complement's columns, scaled: d -= L[:, a]**2
+    a = 0
     accepted = []
     for i, lev_i in enumerate(lev):
-        hii = H.item(i, i)
+        hii = d.item(i)
         # ratio validity: projections never grow norms beyond roundoff
         if not hii <= lev_i + ACCEPT_SLACK:
             raise NotOrthonormalError(
                 "acceptance ratio above 1: residual diagonal exceeds leverage score")
-        draw = lev_i * random()
+        draw = lev_i * draws[i]
         if (draw < hii) if accept_bias == 0.0 else (draw <= hii + accept_bias):
             accepted.append(i)
+            if len(accepted) == room:
+                break
             if hii > 0.0 and i + 1 < nb:
-                rest = H[i + 1:, i + 1:]
-                np.subtract(
-                    rest, np.multiply.outer(H[i + 1:, i] / hii, H[i, i + 1:]),
-                    out=rest,
-                )
+                c = H[i, i + 1:]
+                if a:
+                    c = c - L[i + 1:, :a] @ L[i, :a]
+                d[i + 1:] -= (c / hii) * c
+                if i + 2 < nb:  # a later acceptance reads this column
+                    if L is None:
+                        L = np.empty((nb, min(nb, room)))
+                    L[i + 1:, a] = c / math.sqrt(hii)
+                    a += 1
     return accepted
 
 
@@ -148,11 +161,11 @@ def rejection_sample_submatrix(block, rng, _accept_bias=0.0):
     """Run the in-block accept/reject pass over a proposal block.
 
     Walks the proposals in order; proposal ``i`` is accepted when a uniform
-    draw scaled by its leverage score lands below the current residual
-    diagonal ``H[i, i]``, after which the trailing block of ``H`` is updated
-    by Schur-complement elimination so that duplicates of an accepted
+    draw scaled by its leverage score lands below its current residual
+    diagonal: ``H[i, i]`` less its Schur-complement downdates by the
+    proposals accepted before it, so that duplicates of an accepted
     proposal carry zero residual and are never accepted themselves.
-    ``block.gram`` is left unchanged.
+    ``block.gram`` is read as symmetric and left unchanged.
 
     Returns the accepted positions (indices into the block) in order.
 
@@ -160,12 +173,12 @@ def rejection_sample_submatrix(block, rng, _accept_bias=0.0):
     the strict accept comparison into a ``<=`` with that much slack, which
     detectably skews the sampled distribution. Leave at 0.
     """
-    H = np.array(block.gram, dtype=np.float64)
+    H = np.asarray(block.gram, dtype=np.float64)
     lev = np.asarray(block.lev_scores, dtype=np.float64)
     nb = H.shape[0]
     if H.shape != (nb, nb) or lev.shape != (nb,):
         raise DimensionMismatchError("gram must be square and match the scores")
-    return _accept_pass(H, lev.tolist(), rng, _accept_bias)
+    return _accept_pass(H, lev.tolist(), rng, _accept_bias, nb)
 
 
 def rejection_rpqr(Q, rng, max_rounds=64, block_size=None, _accept_bias=0.0):
@@ -211,24 +224,25 @@ def rejection_rpqr(Q, rng, max_rounds=64, block_size=None, _accept_bias=0.0):
     cum = lev.cumsum()
     edges, total = cum[:-1], cum[-1]
     lev = lev.tolist()
-    QT = np.ascontiguousarray(Q.T)
     qr = HouseholderQR(k, capacity=k)
     chosen = []
     bs = k if block_size is None else int(block_size)
     for _ in range(max_rounds):
-        if len(chosen) == k:
+        room = k - len(chosen)
+        if not room:
             break
         proposals = _draw_from_cumulative(edges, total, bs, rng)
-        cols = QT.take(proposals, axis=1)
-        # before anything is accepted the projector is the identity
-        C = qr.project_out(cols) if qr.k_cur else cols
+        cols = Q.take(proposals, axis=0).T
+        # the proposals' residuals in the coordinates the reflectors leave
+        # free: their Gram is that of the projected-out columns
+        C = qr._complement_t(cols) if qr.k_cur else cols
         proposals = proposals.tolist()
         accepted = _accept_pass(
-            C.T @ C, [lev[t] for t in proposals], rng, _accept_bias
+            C.T @ C, [lev[t] for t in proposals], rng, _accept_bias, room
         )
         if accepted:
-            new_rows = [proposals[i] for i in accepted[: k - len(chosen)]]
-            qr._absorb(QT.take(new_rows, axis=1))
+            new_rows = [proposals[i] for i in accepted]
+            qr._absorb(Q.take(new_rows, axis=0).T)
             chosen.extend(new_rows)
     if len(chosen) < k:
         raise MaxRoundsExceededError(
@@ -238,34 +252,66 @@ def rejection_rpqr(Q, rng, max_rounds=64, block_size=None, _accept_bias=0.0):
     return PivotSet(chosen, m), qr
 
 
+def _residual_norms2(M, cols, basis):
+    """Squared norms of the columns ``cols`` of ``M - basis.T @ (basis @ M)``,
+    for ``basis`` with orthonormal rows, one block of columns at a time."""
+    width = max(1, BLOCK_ENTRIES // M.shape[0])
+    out = np.empty(cols.size)
+    for lo in range(0, cols.size, width):
+        B = M[:, cols[lo:lo + width]]
+        B = B.toarray() if sp.issparse(B) else B
+        R = basis.T @ (basis @ B)
+        np.subtract(B, R, out=R)
+        out[lo:lo + width] = np.einsum("ij,ij->j", R, R)
+    return out
+
+
 def rpqr_sequential(M, k, rng):
-    """Randomly pivoted QR column selection on ``M`` (d x m).
+    """Randomly pivoted QR column selection on ``M`` (d x m), dense or
+    sparse.
 
     Each step samples a column with probability proportional to its current
-    squared norm, then orthogonalizes the working copy against it. Squared
-    norms are maintained by downdating and fully recomputed whenever a
-    downdated value dips below 1e-8 of its value at the last recomputation
-    (cancellation guard). The caller's ``M`` is untouched.
+    squared residual norm, where the residual is what is left after
+    projecting out the columns already chosen. The algorithm is
+    left-looking: it keeps an orthonormal basis of the chosen columns,
+    orthogonalizes only the drawn column against it (two Gram-Schmidt
+    passes), and downdates the squared norms with that column's projection
+    ``q @ M``. ``M`` is never copied or written; sparse ``M`` is read in CSC
+    form, converted once if it comes in another.
+
+    A downdated norm that dips below 1e-8 of its value when last computed
+    has lost its digits to cancellation, and is replaced by the true
+    residual norm (cancellation guard), computed in column blocks of at
+    most 16 MB.
 
     Raises
     ------
     RankDeficientError
-        The working matrix's total squared norm fell below
-        ``1e-12 * ||M||_F^2`` before ``k`` pivots were found.
+        The total squared residual norm fell below ``1e-12 * ||M||_F^2``
+        before ``k`` pivots were found.
     """
-    W = np.array(M, dtype=np.float64)  # working copy
-    if W.ndim != 2:
+    # ndarray first: issparse's abstract-class check alone is 2% of a k=2 draw
+    sparse = not isinstance(M, np.ndarray) and sp.issparse(M)
+    if sparse:
+        M = _canonical(M, sp.csc_array).astype(np.float64, copy=False)
+    else:
+        M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2:
         raise DimensionMismatchError("M must be 2-D")
-    d, m = W.shape
+    d, m = M.shape
     if not 1 <= k <= min(d, m):
-        raise DimensionMismatchError(f"need 1 <= k <= min{W.shape}, got {k}")
-    norms2 = np.einsum("ij,ij->j", W, W)
-    # cancellation floor: 1e-8 of the squared norms at the last full
-    # recomputation; selected columns get a negative floor so never look stale
+        raise DimensionMismatchError(f"need 1 <= k <= min{M.shape}, got {k}")
+    if sparse:
+        norms2 = M.multiply(M).sum(axis=0)
+    else:
+        norms2 = np.einsum("ij,ij->j", M, M)
+    # cancellation floor: 1e-8 of each squared norm at its last computation;
+    # selected columns get a negative floor so never look stale
     floor = 1e-8 * norms2
     cum = norms2.cumsum()
     total0 = total = float(cum[-1])
     pivots = []
+    basis = None  # orthonormal rows; allocated once a later step reads it
     while True:
         if total <= 1e-12 * total0:
             raise RankDeficientError(
@@ -273,23 +319,29 @@ def rpqr_sequential(M, k, rng):
             )
         s = _draw_one(cum, total, rng)
         pivots.append(s)
-        if len(pivots) == k:  # nothing reads the working state after this
+        j = len(pivots)
+        if j == k:  # nothing reads the working state after this
             return PivotSet(pivots, m)
-        col = W[:, s]
-        q = col / math.sqrt(float(col.dot(col)))
-        proj = q @ W
+        q = M[:, [s]].toarray().ravel() if sparse else M[:, s]
+        if j > 1:
+            B = basis[: j - 1]
+            q = q - (B @ q) @ B
+            q -= (B @ q) @ B
+        q = q / math.sqrt(float(q.dot(q)))
+        proj = M.T @ q if sparse else q @ M
         norms2 -= proj * proj
         norms2[s] = 0.0
         floor[s] = -1.0
-        stale = (norms2 < floor).any()
-        if stale or len(pivots) + 1 < k:  # read by the recompute or next step
-            W -= np.multiply.outer(q, proj)
-            W[:, s] = 0.0
+        below = norms2 < floor
+        stale = below.any()
+        if stale or j + 1 < k:  # read by the recompute or the next step
+            if basis is None:
+                basis = np.empty((k - 1, d))
+            basis[j - 1] = q
         if stale:
-            norms2 = np.einsum("ij,ij->j", W, W)
-            norms2[pivots] = 0.0
-            floor = 1e-8 * norms2
-            floor[pivots] = -1.0
+            cols = np.flatnonzero(below)
+            norms2[cols] = fresh = _residual_norms2(M, cols, basis[:j])
+            floor[cols] = 1e-8 * fresh
         np.maximum(norms2, 0.0, out=norms2)
         cum = norms2.cumsum()
         total = float(cum[-1])

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 import rowpick as rp
-from rowpick.decompose import _pinv_apply, _round_up_multiple, _take_rows, build_type1_w
+from rowpick.decompose import (
+    _decomposition,
+    _pinv_apply,
+    _round_up_multiple,
+    _take_rows,
+    build_type1_w,
+)
 from rowpick.sketch import sketch_apply, sparse_sign_embedding
 
 
@@ -43,18 +49,15 @@ def _arp_family(A, k, zeta, oversample, rng):
     Q = rp.rangefinder(A, k, zeta, rng)
     pivots, qr = rp.rejection_rpqr(Q, rng)
     rows = _take_rows(A, pivots.indices)
-    w1 = build_type1_w(Q, qr)
-    w2, _ = _pinv_apply(A, rows)
+    w1 = build_type1_w(Q, qr), False
+    w2 = _pinv_apply(A, rows)
     width = _round_up_multiple(int(round(oversample * k)), zeta)
     phi = sparse_sign_embedding(A.shape[1], width, zeta, rng)
-    w3, _ = _pinv_apply(sketch_apply(A, phi), sketch_apply(rows, phi))
+    w3 = _pinv_apply(sketch_apply(A, phi), sketch_apply(rows, phi))
     cfg = rp.ArpConfig(k=k, zeta=zeta, oversample=oversample)
     return {
-        variant: rp.InterpolativeDecomposition(
-            pivots=pivots, w=w, variant=variant,
-            effective_rank=Q.shape[1], config=cfg,
-        )
-        for variant, w in (("type1", w1), ("type2", w2), ("osid", w3))
+        variant: _decomposition(pivots, w, variant, Q.shape[1], cfg, fallback)
+        for variant, (w, fallback) in zip(rp.VARIANTS, (w1, w2, w3))
     }
 
 

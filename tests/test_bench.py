@@ -3,6 +3,7 @@ round trips, the per-row error ordering, and failure handling."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rowpick import (
     BenchmarkRecord,
     InvalidParamError,
     MatrixSpec,
+    gen_decay_sparse,
     read_records_csv,
     run_bench,
     run_method,
@@ -43,7 +45,22 @@ class TestMethodDispatch:
         spec = MatrixSpec.parse("sparse-decay:m=80,n=30,nnz=6,seed=2")
         A = spec.build()
         dec = run_method("RPQR", A, 4, np.random.default_rng(1), zeta=2)
+        dense = run_method("RPQR", A.toarray(), 4, np.random.default_rng(1), zeta=2)
         assert len(dec.pivots) == 4
+        assert dec.pivots == dense.pivots
+        np.testing.assert_allclose(dec.w, dense.w, rtol=0, atol=1e-12)
+
+    def test_rpqr_sparse_memory_bounded(self):
+        # A^T densified would take 320 MB
+        A = gen_decay_sparse(20000, 2000, 30, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            dec = run_method("RPQR", A, 60, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dec.pivots) == 60
+        assert peak < 64 * 2**20
 
     def test_skqr_pivots_deterministic_given_stream(self):
         A = SPEC.build()

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from rowpick import (
     ArpConfig,
     DimensionMismatchError,
+    InterpolativeDecomposition,
     InvalidParamError,
     arp_decompose,
     enumerate_volume_probs,
@@ -116,7 +117,50 @@ class TestArpDecompose:
         cfg = ArpConfig(k=4, zeta=2, variant=variant)
         dec = arp_decompose(A, cfg, rng)
         sub = dec.w[dec.pivots.indices, :]
-        assert np.linalg.norm(sub - np.eye(len(dec.pivots))) <= 1e-10
+        np.testing.assert_array_equal(sub, np.eye(len(dec.pivots)))
+
+    @pytest.mark.parametrize("variant", ["type1", "type2", "osid"])
+    def test_interpolation_exact_when_ill_conditioned(self, variant):
+        # singular values from 1 down to 1e-9: A[S, :] has full numerical
+        # rank, but its pseudoinverse puts roundoff of about 5e-8 into the
+        # pivot rows of W, which are pinned to the identity
+        rng = np.random.default_rng(3)
+        U = np.linalg.qr(rng.standard_normal((40, 8)))[0]
+        V = np.linalg.qr(rng.standard_normal((30, 8)))[0]
+        A = (U * np.logspace(0, -9, 8)) @ V.T
+        dec = arp_decompose(A, ArpConfig(k=8, variant=variant, seed=0))
+        assert not dec.pinv_fallback
+        np.testing.assert_array_equal(dec.w[dec.pivots.indices, :], np.eye(8))
+        assert residual_fro(A, dec) <= 1e-6 * fro_norm(A)
+
+    @pytest.mark.parametrize("j", [600, -600])
+    def test_extreme_scales_keep_pivots(self, j):
+        A = np.random.default_rng(0).standard_normal((30, 20))
+        cfg = ArpConfig(k=4, seed=1)
+        base, scaled = arp_decompose(A, cfg), arp_decompose(A * 2.0**j, cfg)
+        np.testing.assert_array_equal(scaled.pivots.indices, base.pivots.indices)
+        assert scaled.effective_rank == 4 and not scaled.pinv_fallback
+
+    def test_equality_and_hash(self):
+        A = np.random.default_rng(2).standard_normal((30, 20))
+        cfg = ArpConfig(k=4, seed=7)
+        a, b = arp_decompose(A, cfg), arp_decompose(A, cfg)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other_w = a.w.copy()
+        other_w[0, 0] += 1.0
+        changed = [
+            InterpolativeDecomposition(a.pivots, other_w, a.variant, 4, cfg),
+            InterpolativeDecomposition(a.pivots, a.w, "type2", 4, cfg),
+            InterpolativeDecomposition(a.pivots, a.w, a.variant, 3, cfg),
+            InterpolativeDecomposition(a.pivots, a.w, a.variant, 4, ArpConfig(k=4, seed=8)),
+            InterpolativeDecomposition(a.pivots, a.w, a.variant, 4, cfg, True),
+            arp_decompose(A, ArpConfig(k=4, seed=8)),
+        ]
+        for c in changed:
+            assert a != c
+        assert a != a.pivots
 
     def test_seeded_determinism_bitwise(self):
         A = np.random.default_rng(0).standard_normal((20, 14))

@@ -8,6 +8,7 @@ from rowpick import (
     DimensionMismatchError,
     EmptyMatrixError,
     HouseholderQR,
+    InvalidParamError,
     RankDeficientError,
     RankDeficientUpdateError,
     apply_pinv_right,
@@ -48,6 +49,13 @@ class TestOrth:
         assert Q.shape == (20, 3)
         resid = B - Q @ (Q.T @ B)
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(B)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        B = np.random.default_rng(9).standard_normal((8, 3))
+        B[2, 1] = bad
+        with pytest.raises(InvalidParamError, match="NaN or infinite"):
+            orth(B)
 
     def test_empty_and_bad_shapes(self):
         with pytest.raises(EmptyMatrixError):

@@ -2,10 +2,12 @@
 distributional agreement of both pivot samplers with the enumeration
 oracle."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rowpick import (
     DegenerateDistributionError,
@@ -22,11 +24,82 @@ from rowpick import (
     rejection_sample_submatrix,
     rpqr_sequential,
 )
+from rowpick import samplers
+from rowpick.linalg import HouseholderQR, squared_row_norms
+from rowpick.samplers import ACCEPT_SLACK, _accept_pass, _draw_one
 
 
 def empirical(sample_fn, draws):
     counts = Counter(sample_fn() for _ in range(draws))
     return {t: c / draws for t, c in counts.items()}
+
+
+# Right-looking references: the same samplers written as explicit
+# elimination on a working copy. The library's left-looking forms must make
+# the same decisions on the same generator stream.
+
+def right_looking_accept_pass(H, lev, rng):
+    """Accept/reject walk that applies each acceptance's Schur-complement
+    update to the whole trailing block of a copy of ``H``."""
+    H = np.array(H, dtype=np.float64)
+    nb = H.shape[0]
+    accepted = []
+    for i, lev_i in enumerate(lev):
+        hii = H[i, i]
+        assert hii <= lev_i + ACCEPT_SLACK
+        if lev_i * rng.random() < hii:
+            accepted.append(i)
+            if hii > 0.0 and i + 1 < nb:
+                H[i + 1:, i + 1:] -= np.outer(H[i + 1:, i] / hii, H[i, i + 1:])
+    return accepted
+
+
+def right_looking_rejection(Q, rng):
+    """Block rejection sampler over a projected-out Gram per round."""
+    m, k = Q.shape
+    lev = squared_row_norms(Q)
+    cum = lev.cumsum()
+    qr = HouseholderQR(k, capacity=k)
+    chosen = []
+    while len(chosen) < k:
+        proposals = cum[:-1].searchsorted(rng.random(k) * cum[-1], side="right")
+        C = qr.project_out(Q.T[:, proposals])
+        accepted = right_looking_accept_pass(C.T @ C, lev[proposals], rng)
+        new_rows = [int(proposals[i]) for i in accepted[: k - len(chosen)]]
+        if new_rows:
+            qr.update(Q.T[:, new_rows])
+            chosen.extend(new_rows)
+    return chosen
+
+
+def right_looking_rpqr(M, k, rng):
+    """Sequential randomly pivoted QR that orthogonalizes a dense working
+    copy of ``M`` against every pivot; its cancellation guard recomputes
+    every column's norm from the working copy."""
+    W = np.array(M, dtype=np.float64)
+    norms2 = np.einsum("ij,ij->j", W, W)
+    floor = 1e-8 * norms2
+    cum = norms2.cumsum()
+    pivots = []
+    while True:
+        s = _draw_one(cum, float(cum[-1]), rng)
+        pivots.append(s)
+        if len(pivots) == k:
+            return pivots
+        q = W[:, s] / math.sqrt(W[:, s] @ W[:, s])
+        proj = q @ W
+        norms2 -= proj * proj
+        norms2[s] = 0.0
+        floor[s] = -1.0
+        W -= np.outer(q, proj)
+        W[:, s] = 0.0
+        if (norms2 < floor).any():
+            norms2 = np.einsum("ij,ij->j", W, W)
+            norms2[pivots] = 0.0
+            floor = 1e-8 * norms2
+            floor[pivots] = -1.0
+        np.maximum(norms2, 0.0, out=norms2)
+        cum = norms2.cumsum()
 
 
 class TestPivotSet:
@@ -127,6 +200,29 @@ class TestRejectionSampleSubmatrix:
         assert block.gram is gram
         np.testing.assert_array_equal(gram, before)
 
+    @pytest.mark.parametrize("k", [3, 10, 60])
+    def test_matches_right_looking_reference(self, k):
+        # Grams of proposal residuals after a few absorbed pivots, with
+        # repeated proposals, as the block sampler builds them
+        rng = np.random.default_rng(k)
+        Q = orth(rng.standard_normal((4 * k, k)))
+        lev = squared_row_norms(Q)
+        for trial in range(20):
+            nb = int(rng.integers(1, 61))
+            qr = HouseholderQR(k, capacity=k)
+            absorbed = int(rng.integers(0, k))
+            if absorbed:
+                qr.update(Q.T[:, rng.choice(4 * k, absorbed, replace=False)])
+            proposals = rng.integers(0, 4 * k, nb)
+            C = qr.project_out(Q.T[:, proposals])
+            H = C.T @ C
+            H = (H + H.T) / 2  # the sampler's syrk Gram is exactly symmetric
+            seed = 1000 * k + trial
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _accept_pass(H, lev[proposals].tolist(), got_rng, 0.0, nb)
+            assert got == right_looking_accept_pass(H, lev[proposals], ref_rng)
+            assert got_rng.random() == ref_rng.random()
+
     def test_ratio_assertion(self):
         block = ProposalBlock(
             proposals=np.arange(2),
@@ -191,6 +287,14 @@ class TestRejectionRpqr:
             # needs at least one full round
             rejection_rpqr(Q * 0.0 + Q, np.random.default_rng(0), max_rounds=0)
 
+    @pytest.mark.parametrize("k", [3, 10, 60])
+    def test_matches_right_looking_reference(self, k):
+        Q = orth(np.random.default_rng(k).standard_normal((5 * k, k)))
+        for seed in range(10):
+            pivots, _ = rejection_rpqr(Q, np.random.default_rng(seed))
+            ref = right_looking_rejection(Q, np.random.default_rng(seed))
+            assert list(pivots) == ref
+
     def test_matches_enumeration(self):
         rng = np.random.default_rng(7)
         Q = orth(rng.standard_normal((5, 2)))
@@ -232,6 +336,49 @@ class TestRpqrSequential:
         before = M.copy()
         rpqr_sequential(M, 3, rng)
         np.testing.assert_array_equal(M, before)
+        for S in (sp.csr_array(before), sp.csc_array(before)):
+            arrays = [x.copy() for x in (S.data, S.indices, S.indptr)]
+            rpqr_sequential(S, 3, rng)
+            for got, kept in zip((S.data, S.indices, S.indptr), arrays):
+                np.testing.assert_array_equal(got, kept)
+
+    @pytest.mark.parametrize("k", [3, 10, 60])
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_matches_right_looking_reference(self, k, form):
+        rng = np.random.default_rng(k)
+        d, m = 80, 300
+        decay = np.arange(1, m + 1) ** -1.0
+        if form == "dense":
+            M = rng.standard_normal((d, m)) * decay
+        else:
+            M = sp.random_array((d, m), density=0.1, format="csr", rng=rng) @ sp.diags_array(decay)
+        dense = M.toarray() if form == "sparse" else M
+        for seed in range(10):
+            got = rpqr_sequential(M, k, np.random.default_rng(seed))
+            assert list(got) == right_looking_rpqr(dense, k, np.random.default_rng(seed))
+
+    def test_cancellation_guard_keeps_the_law(self, monkeypatch):
+        # rows 0 and 1 of Q, columns of M, are nearly parallel: whichever is
+        # drawn first leaves the other a squared residual about 1e-10 of its
+        # own, far below the downdate's 1e-8 floor, so the true residual
+        # norms are recomputed
+        Q = orth(np.array([[1.0, 0.0], [1.0, 1e-5], [0.0, 1.0],
+                           [0.6, 0.8], [-0.8, 0.6]]))
+        M = np.ascontiguousarray(Q.T)
+        recomputes = []
+        real = samplers._residual_norms2
+
+        def counted(*args):
+            recomputes.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(samplers, "_residual_norms2", counted)
+        rng = np.random.default_rng(12)
+        draws = 20000
+        emp = empirical(lambda: rpqr_sequential(M, 2, rng).as_tuple(), draws)
+        dist = enumerate_volume_probs(Q, 2)
+        assert len(recomputes) > draws // 4
+        assert dist.total_variation(emp) < 0.02
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(8)
