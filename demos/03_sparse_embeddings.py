@@ -21,13 +21,13 @@ print(np.array2string(
 print(f"\nnonzeros per row: {np.unique(np.sum(omega != 0, axis=1))}")
 print(f"row norms:        {np.unique(np.sum(omega * omega, axis=1))}")
 
-# the implicit application never builds the matrix above; it agrees with a
-# BLAS product against it to roundoff, and bit for bit with the same sums
-# taken in the library's canonical accumulation order
+# sketch_apply is one sparse product against the matrix above, summed in
+# the library's canonical order (ascending input row); it agrees with a
+# dense BLAS product to roundoff
 A = rng.standard_normal((5, 8))
-implicit = rp.apply_right_dense(A, emb)
-print(f"\nmax |implicit - A @ materialize(emb)| = "
-      f"{np.max(np.abs(implicit - A @ omega)):.2e}")
+sketch = rp.sketch_apply(A, emb)
+print(f"\nmax |sketch_apply(A) - A @ materialize(emb)| = "
+      f"{np.max(np.abs(sketch - A @ omega)):.2e}")
 
 # sketch quality: a width-k sketch of a decaying 200x200 matrix captures
 # its range nearly as well as the exact rank-k truncation

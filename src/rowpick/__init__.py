@@ -23,12 +23,13 @@ from .decompose import (
     ArpConfig,
     InterpolativeDecomposition,
     arp_decompose,
+    build_w,
     fro_norm,
     rangefinder,
     residual_fro,
+    select_pivots,
 )
 from .errors import (
-    DegenerateDistributionError,
     DimensionMismatchError,
     EmptyMatrixError,
     InvalidParamError,
@@ -69,16 +70,11 @@ from .oracle import (
 )
 from .samplers import (
     PivotSet,
-    ProposalBlock,
-    leverage_multinomial,
     rejection_rpqr,
-    rejection_sample_submatrix,
     rpqr_sequential,
 )
 from .sketch import (
     SparseSignEmbedding,
-    apply_right_dense,
-    apply_right_sparse,
     materialize,
     sketch_apply,
     sparse_sign_embedding,
@@ -90,7 +86,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArpConfig",
     "BenchmarkRecord",
-    "DegenerateDistributionError",
     "DimensionMismatchError",
     "EmptyMatrixError",
     "HouseholderQR",
@@ -104,7 +99,6 @@ __all__ = [
     "NotPSDError",
     "ParseError",
     "PivotSet",
-    "ProposalBlock",
     "RANK_RTOL",
     "RaggedTableError",
     "RankDeficientError",
@@ -115,9 +109,8 @@ __all__ = [
     "TooLargeError",
     "VARIANTS",
     "apply_pinv_right",
-    "apply_right_dense",
-    "apply_right_sparse",
     "arp_decompose",
+    "build_w",
     "check_active_regression",
     "check_optimality",
     "enumerate_kdpp_probs",
@@ -127,7 +120,6 @@ __all__ = [
     "gen_decay_dense",
     "gen_decay_sparse",
     "gen_kernel",
-    "leverage_multinomial",
     "load_geo_series_matrix",
     "materialize",
     "optimality_instance",
@@ -135,12 +127,12 @@ __all__ = [
     "rangefinder",
     "read_records_csv",
     "rejection_rpqr",
-    "rejection_sample_submatrix",
     "residual_fro",
     "rpqr_sequential",
     "run_bench",
     "run_method",
     "run_verify",
+    "select_pivots",
     "sketch_apply",
     "sparse_sign_embedding",
     "squared_row_norms",

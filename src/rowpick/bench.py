@@ -28,11 +28,9 @@ import scipy.linalg as sla
 
 from .decompose import (
     ArpConfig,
-    _decomposition,
-    _pinv_apply,
     _round_up_multiple,
-    _take_rows,
     arp_decompose,
+    build_w,
     fro_norm,
     residual_fro,
 )
@@ -77,12 +75,6 @@ def canonical_method(name):
     return name
 
 
-def _osid_w(A, rows, k, zeta, oversample, rng):
-    width = _round_up_multiple(int(round(oversample * k)), zeta)
-    phi = sparse_sign_embedding(A.shape[1], width, zeta, rng)
-    return _pinv_apply(sketch_apply(A, phi), sketch_apply(rows, phi))
-
-
 def run_method(method, A, k, rng, zeta=4, oversample=2.0, max_rounds=64):
     """Run one named method at rank ``k`` and return its decomposition."""
     method = canonical_method(method)
@@ -99,14 +91,9 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0, max_rounds=64):
         B = sketch_apply(A, emb)
         _, _, perm = sla.qr(B.T, mode="economic", pivoting=True)
         pivots = PivotSet(np.asarray(perm[:k], dtype=np.intp), m)
-        W, fallback = _osid_w(A, _take_rows(A, pivots.indices), k, zeta,
-                              oversample, rng)
-        variant = "osid"
-    else:  # RPQR: sequential selection on the full matrix, projection W
-        pivots = rpqr_sequential(A.T, k, rng)
-        W, fallback = _pinv_apply(A, _take_rows(A, pivots.indices))
-        variant = "type2"
-    return _decomposition(pivots, W, variant, len(pivots), cfg, fallback)
+        return build_w(A, pivots, "osid", cfg, rng)
+    # RPQR: sequential selection on the full matrix, projection W
+    return build_w(A, rpqr_sequential(A.T, k, rng), "type2", cfg, rng)
 
 
 def _cell_rng(seed, k):

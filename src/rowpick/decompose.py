@@ -104,19 +104,6 @@ class InterpolativeDecomposition:
         return hash(self._key())
 
 
-def _decomposition(pivots, W, variant, rank, cfg, fallback):
-    """The decomposition with the pivot rows of ``W`` set to the identity,
-    which they equal in exact arithmetic whenever the inverted or
-    pseudoinverted factor has full numerical rank, so everywhere but after
-    the truncated-SVD fallback. Overwrites those rows of ``W``."""
-    if not fallback:
-        W[pivots.indices, :] = np.eye(len(pivots))
-    return InterpolativeDecomposition(
-        pivots=pivots, w=W, variant=variant, effective_rank=rank, config=cfg,
-        pinv_fallback=fallback,
-    )
-
-
 def _round_up_multiple(k, zeta):
     return ((k + zeta - 1) // zeta) * zeta
 
@@ -133,13 +120,20 @@ def rangefinder(A, k, zeta, rng):
     The sketch width is ``k`` rounded up to a multiple of ``zeta``; after
     orthonormalization the basis is truncated back to at most ``k``
     columns. A width below ``k`` reports numerical rank deficiency of the
-    sketch and is not an error.
+    sketch and is not an error; a width of 0 is.
+
+    Raises
+    ------
+    RankDeficientError
+        The sketch of ``A`` is zero.
     """
     m, n = A.shape
     if not 1 <= k <= min(m, n):
         raise DimensionMismatchError(f"need 1 <= k <= min{A.shape}, got {k}")
     emb = sparse_sign_embedding(n, _round_up_multiple(k, zeta), zeta, rng)
     Q = orth(sketch_apply(A, emb))
+    if not Q.shape[1]:
+        raise RankDeficientError("A is numerically zero: its sketch has rank 0")
     if Q.shape[1] > k:
         Q = np.ascontiguousarray(Q[:, :k])
     return Q
@@ -163,8 +157,60 @@ def build_type1_w(Q, qr):
     )
 
 
+def select_pivots(A, cfg, rng):
+    """The pivot phase of :func:`arp_decompose`: the rangefinder's basis
+    ``Q``, then a volume-sampled pivot set of ``Q``'s rows.
+
+    Returns ``(Q, pivots, qr)``, with ``qr`` the sampler's QR of
+    ``Q^T[:, S]``. Draws from ``rng`` in that order: the sketch, then the
+    sampler.
+    """
+    Q = rangefinder(A, cfg.k, cfg.zeta, rng)
+    pivots, qr = rejection_rpqr(Q, rng, max_rounds=cfg.max_rounds)
+    return Q, pivots, qr
+
+
+def build_w(A, pivots, variant, cfg, rng, basis=None):
+    """The decomposition of ``A`` on ``pivots`` with the ``variant``'s
+    interpolation matrix ``W``.
+
+    ``type1`` needs ``basis``, the ``(Q, qr)`` pair :func:`select_pivots`
+    returns with the pivots. Only ``osid`` draws from ``rng``: one embedding
+    of width ``round(cfg.oversample * cfg.k)``, padded up to a multiple of
+    ``cfg.zeta``. So after one :func:`select_pivots`, building the variants
+    in the order of ``VARIANTS`` gives what separate :func:`arp_decompose`
+    calls with the same seed give.
+
+    The pivot rows of ``W`` are set to the identity, which they equal in
+    exact arithmetic whenever the inverted or pseudoinverted factor has full
+    numerical rank, so everywhere but after the truncated-SVD fallback.
+    """
+    if variant not in VARIANTS:
+        raise InvalidParamError(f"variant must be one of {VARIANTS}")
+    fallback = False
+    if variant == "type1":
+        if basis is None:
+            raise InvalidParamError("type1 needs the basis and its QR")
+        W = build_type1_w(*basis)
+    else:
+        rows = _take_rows(A, pivots.indices)
+        if variant == "type2":
+            W, fallback = _pinv_apply(A, rows)
+        else:
+            width = _round_up_multiple(int(round(cfg.oversample * cfg.k)), cfg.zeta)
+            phi = sparse_sign_embedding(A.shape[1], width, cfg.zeta, rng)
+            W, fallback = _pinv_apply(sketch_apply(A, phi), sketch_apply(rows, phi))
+    if not fallback:
+        W[pivots.indices, :] = np.eye(len(pivots))
+    return InterpolativeDecomposition(
+        pivots=pivots, w=W, variant=variant, effective_rank=len(pivots),
+        config=cfg, pinv_fallback=fallback,
+    )
+
+
 def arp_decompose(A, cfg, rng=None):
-    """Compute a row interpolative decomposition of ``A``.
+    """Compute a row interpolative decomposition of ``A``:
+    :func:`select_pivots`, then :func:`build_w` of ``cfg.variant``.
 
     A pure function of ``(A, cfg, seed)``: the rangefinder sketch, the
     pivot sampler, and (for ``osid``) the oversampling sketch all consume
@@ -173,22 +219,8 @@ def arp_decompose(A, cfg, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    m, n = A.shape
-    Q = rangefinder(A, cfg.k, cfg.zeta, rng)
-    k_eff = Q.shape[1]
-    pivots, qr = rejection_rpqr(Q, rng, max_rounds=cfg.max_rounds)
-    S = pivots.indices
-    fallback = False
-    if cfg.variant == "type1":
-        W = build_type1_w(Q, qr)
-    elif cfg.variant == "type2":
-        W, fallback = _pinv_apply(A, _take_rows(A, S))
-    else:  # osid
-        width = _round_up_multiple(int(round(cfg.oversample * cfg.k)), cfg.zeta)
-        phi = sparse_sign_embedding(n, width, cfg.zeta, rng)
-        rows = _take_rows(A, S)
-        W, fallback = _pinv_apply(sketch_apply(A, phi), sketch_apply(rows, phi))
-    return _decomposition(pivots, W, cfg.variant, k_eff, cfg, fallback)
+    Q, pivots, qr = select_pivots(A, cfg, rng)
+    return build_w(A, pivots, cfg.variant, cfg, rng, basis=(Q, qr))
 
 
 def fro_norm(A):

@@ -29,10 +29,6 @@ class InvalidParamError(RowpickError, ValueError):
     """A scalar parameter is out of its documented range."""
 
 
-class DegenerateDistributionError(RowpickError, ValueError):
-    """All sampling weights are zero; no distribution exists."""
-
-
 class NotOrthonormalError(RowpickError, ValueError):
     """An input required to have orthonormal columns does not."""
 

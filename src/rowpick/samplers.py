@@ -13,8 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
-    DegenerateDistributionError,
     DimensionMismatchError,
+    InvalidParamError,
     MaxRoundsExceededError,
     NotOrthonormalError,
     RankDeficientError,
@@ -69,20 +69,6 @@ class PivotSet:
         return tuple(sorted(self.indices.tolist()))
 
 
-@dataclass(frozen=True)
-class ProposalBlock:
-    """One round of block proposals for the rejection sampler.
-
-    ``gram`` is ``C^T C`` for ``C`` the proposals' residuals after
-    projecting out the already-accepted pivots; its diagonal can exceed the
-    proposals' leverage scores only by roundoff.
-    """
-
-    proposals: np.ndarray
-    gram: np.ndarray
-    lev_scores: np.ndarray
-
-
 def _draw_from_cumulative(edges, total, count, rng):
     """``count`` iid indices from the cumulative weights ``[*edges, total]``.
 
@@ -97,35 +83,24 @@ def _draw_one(cum, total, rng):
     return idx if idx < cum.size else cum.size - 1
 
 
-def leverage_multinomial(lev_scores, count, rng):
-    """Draw ``count`` iid indices with probability proportional to the
-    scores. Zero-score rows are never drawn; tiny negative roundoff is
-    treated as zero.
-
-    Raises
-    ------
-    DegenerateDistributionError
-        Every score is <= 0.
-    """
-    p = np.clip(np.asarray(lev_scores, dtype=np.float64), 0.0, None)
-    if p.ndim != 1:
-        raise DimensionMismatchError("scores must be 1-D")
-    cum = np.cumsum(p)
-    if not cum.size or cum[-1] <= 0.0:
-        raise DegenerateDistributionError("all sampling weights are zero")
-    return _draw_from_cumulative(cum[:-1], cum[-1], count, rng)
-
-
 def _accept_pass(H, lev, rng, accept_bias, room):
     """Accept/reject walk over the residual Gram ``H`` (symmetric, left
     unchanged) and the proposals' leverage scores ``lev`` (a list of
-    floats). Stops after ``room`` acceptances.
+    floats). Returns the accepted positions in order, at most ``room``.
 
-    Every proposal consumes one uniform, in order, drawn up front. The walk
-    is left-looking: it keeps the diagonal ``d`` of the Schur complement of
-    the accepted positions, and an acceptance at ``i`` computes one column
-    ``c`` of that complement from ``H`` and the columns kept so far, then
-    downdates ``d`` below ``i`` by ``c**2 / d[i]``.
+    Proposal ``i`` is accepted when a uniform draw scaled by its leverage
+    score lands below its current residual diagonal: ``H[i, i]`` less its
+    Schur-complement downdates by the proposals accepted before it, so a
+    duplicate of an accepted proposal carries zero residual and is never
+    accepted itself. Every proposal consumes one uniform, in order, drawn
+    up front. The walk is left-looking: it keeps the diagonal ``d`` of the
+    Schur complement of the accepted positions, and an acceptance at ``i``
+    computes one column ``c`` of that complement from ``H`` and the columns
+    kept so far, then downdates ``d`` below ``i`` by ``c**2 / d[i]``.
+
+    ``accept_bias`` is a test-only corruption hook: a positive value turns
+    the strict accept comparison into a ``<=`` with that much slack, which
+    detectably skews the sampled distribution. The samplers pass 0.
     """
     nb = H.shape[0]
     draws = rng.random(nb).tolist()
@@ -157,37 +132,13 @@ def _accept_pass(H, lev, rng, accept_bias, room):
     return accepted
 
 
-def rejection_sample_submatrix(block, rng, _accept_bias=0.0):
-    """Run the in-block accept/reject pass over a proposal block.
-
-    Walks the proposals in order; proposal ``i`` is accepted when a uniform
-    draw scaled by its leverage score lands below its current residual
-    diagonal: ``H[i, i]`` less its Schur-complement downdates by the
-    proposals accepted before it, so that duplicates of an accepted
-    proposal carry zero residual and are never accepted themselves.
-    ``block.gram`` is read as symmetric and left unchanged.
-
-    Returns the accepted positions (indices into the block) in order.
-
-    ``_accept_bias`` is a test-only corruption hook: a positive value turns
-    the strict accept comparison into a ``<=`` with that much slack, which
-    detectably skews the sampled distribution. Leave at 0.
-    """
-    H = np.asarray(block.gram, dtype=np.float64)
-    lev = np.asarray(block.lev_scores, dtype=np.float64)
-    nb = H.shape[0]
-    if H.shape != (nb, nb) or lev.shape != (nb,):
-        raise DimensionMismatchError("gram must be square and match the scores")
-    return _accept_pass(H, lev.tolist(), rng, _accept_bias, nb)
-
-
 def rejection_rpqr(Q, rng, max_rounds=64, block_size=None, _accept_bias=0.0):
     """Draw a volume-sampled pivot set from an orthonormal-column ``Q``.
 
     Proposes blocks of pivots iid from the leverage score distribution and
-    filters them through the accept/reject pass of
-    :func:`rejection_sample_submatrix`, maintaining an incrementally updated
-    Householder QR of the selected columns of ``Q^T``.
+    filters them through an accept/reject pass over the Gram of their
+    residuals, maintaining an incrementally updated Householder QR of the
+    selected columns of ``Q^T``.
     The returned subset of ``k = Q.shape[1]`` rows follows the distribution
     with probability proportional to ``det(Q[S, :])**2``.
 
@@ -286,6 +237,9 @@ def rpqr_sequential(M, k, rng):
 
     Raises
     ------
+    InvalidParamError
+        ``M`` has a NaN or infinite entry, or a squared norm past the float
+        range.
     RankDeficientError
         The total squared residual norm fell below ``1e-12 * ||M||_F^2``
         before ``k`` pivots were found.
@@ -310,6 +264,9 @@ def rpqr_sequential(M, k, rng):
     floor = 1e-8 * norms2
     cum = norms2.cumsum()
     total0 = total = float(cum[-1])
+    if not math.isfinite(total0):
+        raise InvalidParamError(
+            "M has a NaN or infinite entry, or a squared norm past the float range")
     pivots = []
     basis = None  # orthonormal rows; allocated once a later step reads it
     while True:

@@ -1,4 +1,5 @@
-"""Structured sparse sign embeddings, constructed and applied implicitly.
+"""Structured sparse sign embeddings, and their application as one sparse
+product.
 
 An embedding of dimension ``k`` with row sparsity ``zeta`` (``zeta | k``)
 places exactly ``zeta`` nonzeros in every row of the implied ``n x k``
@@ -6,9 +7,13 @@ matrix: one per contiguous column block of width ``b = k / zeta``, each
 equal to ``+-zeta**-0.5``. Every row therefore has unit Euclidean norm.
 
 Floating-point reproducibility contract: products against the embedding
-accumulate each output column's contributions in ascending input-row order,
-so the implicit application routines below are bit-identical to a product
-against :func:`materialize`'s output evaluated in that same canonical order.
+accumulate each output column's contributions in ascending input-row order.
+:func:`sketch_apply` computes ``A @ Omega`` as ``(Omega^T @ A^T)^T`` with
+``Omega^T`` in CSR form with sorted indices, so scipy's ``csr_matvecs``
+(dense ``A``) and ``csr_matmat`` (sparse ``A``) kernels add up each output
+entry over the nonzeros of one ``Omega^T`` row in ascending column order,
+which is that canonical order. A sparse ``A`` and its dense copy therefore
+give the same bits: the zero entries only add exact zeros.
 """
 
 from dataclasses import dataclass
@@ -18,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidParamError, InvalidSparsityError
+from .linalg import _canonical
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,7 @@ def sparse_sign_embedding(n, k, zeta, rng):
 
 def materialize(emb):
     """Explicit ``n x k`` sparse matrix (canonical CSC) with ``n * zeta``
-    stored entries. Intended for tests and small problems only.
-    """
+    stored entries."""
     n, zeta, b = emb.n, emb.zeta, emb.b
     scale = 1.0 / sqrt(zeta)
     rows = np.repeat(np.arange(n), zeta)
@@ -93,67 +98,22 @@ def materialize(emb):
     return out
 
 
-def apply_right_dense(A, emb):
-    """Compute ``A @ Omega`` implicitly in O(zeta * m * n) scalar operations.
+def sketch_apply(A, emb):
+    """``A @ Omega`` for dense or sparse ``A``, as one sparse product against
+    :func:`materialize`'s output in the canonical accumulation order.
 
-    Bit-identical to the materialized product evaluated in the canonical
-    accumulation order (see module docstring).
+    Sparse ``A`` is read in canonical CSC form, so duplicate entries are
+    summed first, as in its dense copy.
     """
-    A = np.asarray(A, dtype=np.float64)
+    if sp.issparse(A):
+        A = _canonical(A, sp.csc_array).astype(np.float64, copy=False)
+    else:
+        A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[1] != emb.n:
         raise DimensionMismatchError(
             f"A must be m x {emb.n}, got shape {A.shape}"
         )
-    m = A.shape[0]
-    AT = np.ascontiguousarray(A.T)
-    out_t = np.zeros((emb.k, m))
-    scale = 1.0 / sqrt(emb.zeta)
-    tmp = np.empty(m)
-    for j in range(emb.zeta):
-        base = j * emb.b
-        cols = emb.block_indices[:, j]
-        w = emb.signs[:, j] * scale
-        for i in range(emb.n):
-            np.multiply(AT[i], w[i], out=tmp)
-            out_t[base + cols[i]] += tmp
+    out_t = materialize(emb).T @ A.T
+    if sp.issparse(out_t):
+        out_t = out_t.toarray()
     return np.ascontiguousarray(out_t.T)
-
-
-def apply_right_sparse(A, emb):
-    """Same contract as :func:`apply_right_dense` for CSC input, in
-    O(zeta * nnz(A)) scalar operations.
-
-    The result is bit-identical to the dense path on a densified copy of
-    ``A`` (zero entries only append exact-zero terms to each accumulator).
-    """
-    if not sp.issparse(A):
-        raise DimensionMismatchError("apply_right_sparse requires a sparse matrix")
-    if A.shape[1] != emb.n:
-        raise DimensionMismatchError(
-            f"A must be m x {emb.n}, got shape {A.shape}"
-        )
-    A = sp.csc_array(A)
-    if not A.has_sorted_indices:
-        A = A.copy()
-        A.sort_indices()
-    m = A.shape[0]
-    indptr, indices, data = A.indptr, A.indices, A.data
-    out_t = np.zeros((emb.k, m))
-    scale = 1.0 / sqrt(emb.zeta)
-    for j in range(emb.zeta):
-        base = j * emb.b
-        cols = emb.block_indices[:, j]
-        w = emb.signs[:, j] * scale
-        for i in range(emb.n):
-            lo, hi = indptr[i], indptr[i + 1]
-            if lo == hi:
-                continue
-            out_t[base + cols[i]][indices[lo:hi]] += data[lo:hi] * w[i]
-    return np.ascontiguousarray(out_t.T)
-
-
-def sketch_apply(A, emb):
-    """Dispatch ``A @ Omega`` to the dense or sparse implicit path."""
-    if sp.issparse(A):
-        return apply_right_sparse(A, emb)
-    return apply_right_dense(A, emb)

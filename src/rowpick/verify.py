@@ -21,7 +21,7 @@ from .oracle import (
     expected_type1_error,
 )
 from .samplers import rejection_rpqr, rpqr_sequential
-from .sketch import apply_right_dense, materialize, sparse_sign_embedding
+from .sketch import materialize, sketch_apply, sparse_sign_embedding
 
 SAMPLER_DRAWS = 30000
 
@@ -232,10 +232,10 @@ def run_verify(seed=0, corrupt=False, stream=None, draws=SAMPLER_DRAWS):
             if not np.allclose(np.sum(dense * dense, axis=1), 1.0, atol=1e-12):
                 return False, "row norms"
             A = rng.standard_normal((int(rng.integers(1, 8)), n))
-            implicit = apply_right_dense(A, emb)
+            got = sketch_apply(A, emb)
             explicit = _canonical_product(A, materialize(emb))
-            if implicit.tobytes() != explicit.tobytes():
-                return False, "implicit apply drifted from materialized product"
+            if got.tobytes() != explicit.tobytes():
+                return False, "sketch_apply drifted from the canonical product"
         return True, "20 seeded embeddings"
 
     def interpolation_check(rng):

@@ -14,14 +14,7 @@ import numpy as np
 import pytest
 
 import rowpick as rp
-from rowpick.decompose import (
-    _decomposition,
-    _pinv_apply,
-    _round_up_multiple,
-    _take_rows,
-    build_type1_w,
-)
-from rowpick.sketch import sketch_apply, sparse_sign_embedding
+from rowpick.sketch import sparse_sign_embedding
 
 
 def _report(capsys, num, ok, detail):
@@ -42,22 +35,14 @@ def _cell_rng(trial, k):
 def _arp_family(A, k, zeta, oversample, rng):
     """One pivot pipeline, all three interpolation matrices.
 
-    Bit-identical to three ``arp_decompose`` calls sharing one seed (the
-    sketch, sampler, and oversampling draws consume the stream in the same
-    order), at a third of the pipeline cost.
+    Bit-identical to three ``arp_decompose`` calls sharing one seed (only
+    ``osid`` draws, after the sampler), at a third of the pipeline cost.
     """
-    Q = rp.rangefinder(A, k, zeta, rng)
-    pivots, qr = rp.rejection_rpqr(Q, rng)
-    rows = _take_rows(A, pivots.indices)
-    w1 = build_type1_w(Q, qr), False
-    w2 = _pinv_apply(A, rows)
-    width = _round_up_multiple(int(round(oversample * k)), zeta)
-    phi = sparse_sign_embedding(A.shape[1], width, zeta, rng)
-    w3 = _pinv_apply(sketch_apply(A, phi), sketch_apply(rows, phi))
     cfg = rp.ArpConfig(k=k, zeta=zeta, oversample=oversample)
+    Q, pivots, qr = rp.select_pivots(A, cfg, rng)
     return {
-        variant: _decomposition(pivots, w, variant, Q.shape[1], cfg, fallback)
-        for variant, (w, fallback) in zip(rp.VARIANTS, (w1, w2, w3))
+        variant: rp.build_w(A, pivots, variant, cfg, rng, basis=(Q, qr))
+        for variant in rp.VARIANTS
     }
 
 
@@ -283,7 +268,7 @@ def test_criterion_10_embedding_invariants(capsys):
         if np.max(np.abs(np.sum(dense * dense, axis=1) - 1.0)) > 1e-14:
             failures.append((seed, "row norms"))
         A = rng.standard_normal((7, n))
-        implicit = rp.apply_right_dense(A, emb)
+        implicit = rp.sketch_apply(A, emb)
         explicit = np.zeros_like(implicit)
         for c in range(k):
             for p in range(omega.indptr[c], omega.indptr[c + 1]):

@@ -12,7 +12,10 @@ from rowpick import (
     DimensionMismatchError,
     InterpolativeDecomposition,
     InvalidParamError,
+    RankDeficientError,
+    VARIANTS,
     arp_decompose,
+    build_w,
     enumerate_volume_probs,
     expected_type1_error,
     fro_norm,
@@ -20,6 +23,7 @@ from rowpick import (
     orth,
     rangefinder,
     residual_fro,
+    select_pivots,
 )
 from rowpick.decompose import build_type1_w
 from rowpick.samplers import rejection_rpqr
@@ -169,6 +173,30 @@ class TestArpDecompose:
         b = arp_decompose(A, cfg)
         np.testing.assert_array_equal(a.pivots.indices, b.pivots.indices)
         assert a.w.tobytes() == b.w.tobytes()
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_zero_matrix_refused(self, sparse):
+        A = sp.csc_array((20, 10)) if sparse else np.zeros((20, 10))
+        with pytest.raises(RankDeficientError, match="numerically zero"):
+            arp_decompose(A, ArpConfig(k=3, seed=0))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_pipeline_phases_keep_the_stream(self, sparse):
+        A = gen_decay_sparse(60, 40, 6, np.random.default_rng(3))
+        A = A if sparse else A.toarray()
+        configs = [ArpConfig(k=6, zeta=2, variant=v, seed=9) for v in VARIANTS]
+        for cfg in configs:
+            rng = np.random.default_rng(9)
+            Q, pivots, qr = select_pivots(A, cfg, rng)
+            dec = build_w(A, pivots, cfg.variant, cfg, rng, basis=(Q, qr))
+            assert dec == arp_decompose(A, cfg)
+        # only osid draws, after the sampler: one pivot draw serves all
+        # three variants in the order of VARIANTS
+        rng = np.random.default_rng(9)
+        Q, pivots, qr = select_pivots(A, configs[0], rng)
+        for cfg in configs:
+            dec = build_w(A, pivots, cfg.variant, cfg, rng, basis=(Q, qr))
+            assert dec == arp_decompose(A, cfg)
 
     def test_variants_share_pivots_for_shared_seed(self):
         A = np.random.default_rng(1).standard_normal((20, 14))

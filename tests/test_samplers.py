@@ -10,23 +10,26 @@ import pytest
 import scipy.sparse as sp
 
 from rowpick import (
-    DegenerateDistributionError,
+    InvalidParamError,
     MaxRoundsExceededError,
     NotOrthonormalError,
     PivotSet,
-    ProposalBlock,
     RankDeficientError,
     RowpickError,
     enumerate_volume_probs,
-    leverage_multinomial,
     orth,
     rejection_rpqr,
-    rejection_sample_submatrix,
     rpqr_sequential,
+    run_method,
 )
 from rowpick import samplers
 from rowpick.linalg import HouseholderQR, squared_row_norms
-from rowpick.samplers import ACCEPT_SLACK, _accept_pass, _draw_one
+from rowpick.samplers import (
+    ACCEPT_SLACK,
+    _accept_pass,
+    _draw_from_cumulative,
+    _draw_one,
+)
 
 
 def empirical(sample_fn, draws):
@@ -128,49 +131,56 @@ class TestPivotSet:
         assert PivotSet([1, 2], 5) in {a}
 
 
+def multinomial(scores, count, rng):
+    """``count`` iid draws with probability proportional to ``scores``, as
+    the block sampler proposes rows from their leverage scores."""
+    cum = np.cumsum(scores)
+    return _draw_from_cumulative(cum[:-1], cum[-1], count, rng)
+
+
+def accept_pass(H, lev, rng):
+    """The accept pass over a whole block, as the sampler's first round."""
+    return _accept_pass(H, np.asarray(lev).tolist(), rng, 0.0, H.shape[0])
+
+
 class TestLeverageMultinomial:
+    """The block sampler's proposal draws."""
+
     def test_point_mass(self):
         rng = np.random.default_rng(0)
-        draws = leverage_multinomial([1.0, 0.0, 0.0], 5, rng)
+        draws = multinomial([1.0, 0.0, 0.0], 5, rng)
         assert np.all(draws == 0)
 
     def test_two_point_frequencies(self):
         rng = np.random.default_rng(1)
-        draws = leverage_multinomial([1.0, 1.0], 100000, rng)
+        draws = multinomial([1.0, 1.0], 100000, rng)
         freq = np.mean(draws == 0)
         assert 0.49 <= freq <= 0.51
 
     def test_weighted_frequencies(self):
         rng = np.random.default_rng(2)
-        draws = leverage_multinomial([2.0, 1.0, 1.0], 100000, rng)
+        draws = multinomial([2.0, 1.0, 1.0], 100000, rng)
         freqs = np.bincount(draws, minlength=3) / 100000
         np.testing.assert_allclose(freqs, [0.5, 0.25, 0.25], atol=0.01)
 
     def test_zero_scores_never_drawn(self):
         rng = np.random.default_rng(3)
-        draws = leverage_multinomial([0.5, 0.0, 0.5, 0.0], 20000, rng)
+        draws = multinomial([0.5, 0.0, 0.5, 0.0], 20000, rng)
         assert set(np.unique(draws)) <= {0, 2}
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateDistributionError):
-            leverage_multinomial([0.0, 0.0], 3, np.random.default_rng(0))
 
 
 class TestRejectionSampleSubmatrix:
+    """The block sampler's accept pass over one round's proposals."""
+
     def test_identity_gram_accepts_everything(self):
         k = 4
-        block = ProposalBlock(
-            proposals=np.arange(k), gram=np.eye(k), lev_scores=np.ones(k)
-        )
-        accepted = rejection_sample_submatrix(block, np.random.default_rng(0))
+        accepted = accept_pass(np.eye(k), np.ones(k), np.random.default_rng(0))
         assert accepted == list(range(k))
 
     def test_zero_gram_accepts_nothing(self):
         k = 3
-        block = ProposalBlock(
-            proposals=np.arange(k), gram=np.zeros((k, k)), lev_scores=np.ones(k)
-        )
-        assert rejection_sample_submatrix(block, np.random.default_rng(1)) == []
+        assert accept_pass(np.zeros((k, k)), np.ones(k),
+                           np.random.default_rng(1)) == []
 
     def test_duplicate_proposal_never_double_accepted(self):
         # proposals t1 == t2: once position 0 is accepted, elimination zeroes
@@ -182,22 +192,18 @@ class TestRejectionSampleSubmatrix:
         lev = np.array([0.9, 0.9, 0.9])
         both = 0
         for _ in range(100000):
-            block = ProposalBlock(np.array([5, 5, 7]), H, lev)
-            acc = rejection_sample_submatrix(block, rng)
+            acc = accept_pass(H, lev, rng)
             if 0 in acc and 1 in acc:
                 both += 1
         assert both == 0
 
     def test_gram_left_unchanged(self):
-        # the pass eliminates on a private copy of the Gram matrix
         rng = np.random.default_rng(4)
         C = rng.standard_normal((3, 4)) * 0.4
         gram = C.T @ C
         before = gram.copy()
-        block = ProposalBlock(np.arange(4), gram, np.diag(gram) + 0.01)
         for _ in range(50):
-            rejection_sample_submatrix(block, rng)
-        assert block.gram is gram
+            accept_pass(gram, np.diag(gram) + 0.01, rng)
         np.testing.assert_array_equal(gram, before)
 
     @pytest.mark.parametrize("k", [3, 10, 60])
@@ -224,13 +230,9 @@ class TestRejectionSampleSubmatrix:
             assert got_rng.random() == ref_rng.random()
 
     def test_ratio_assertion(self):
-        block = ProposalBlock(
-            proposals=np.arange(2),
-            gram=np.diag([1.5, 0.5]),
-            lev_scores=np.array([1.0, 1.0]),
-        )
         with pytest.raises(NotOrthonormalError, match="acceptance ratio above 1"):
-            rejection_sample_submatrix(block, np.random.default_rng(3))
+            accept_pass(np.diag([1.5, 0.5]), np.array([1.0, 1.0]),
+                        np.random.default_rng(3))
 
 
 class TestRejectionRpqr:
@@ -329,6 +331,17 @@ class TestRpqrSequential:
         M = col @ np.ones((1, 4))  # rank one, four columns
         with pytest.raises(RankDeficientError):
             rpqr_sequential(M, 2, rng)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, sparse, bad):
+        A = np.random.default_rng(5).standard_normal((12, 8))
+        A[4, 2] = bad
+        A = sp.csc_array(A) if sparse else A
+        with pytest.raises(InvalidParamError, match="NaN or infinite"):
+            rpqr_sequential(A.T, 3, np.random.default_rng(0))
+        with pytest.raises(InvalidParamError, match="NaN or infinite"):
+            run_method("RPQR", A, 3, np.random.default_rng(0))
 
     def test_caller_matrix_untouched(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,5 @@
 """Sparse sign embedding tests: structure, determinism, and exact agreement
-between the implicit application and the materialized product."""
+between sketch_apply and the materialized product in canonical order."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ import scipy.sparse as sp
 from rowpick import (
     DimensionMismatchError,
     InvalidSparsityError,
-    apply_right_dense,
-    apply_right_sparse,
     materialize,
     sketch_apply,
     sparse_sign_embedding,
@@ -81,12 +79,12 @@ class TestConstruction:
 class TestApply:
     def test_zero_matrix(self):
         emb = sparse_sign_embedding(6, 4, 2, np.random.default_rng(0))
-        out = apply_right_dense(np.zeros((3, 6)), emb)
+        out = sketch_apply(np.zeros((3, 6)), emb)
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
     def test_identity_matrix_densifies(self):
         emb = sparse_sign_embedding(6, 4, 2, np.random.default_rng(1))
-        out = apply_right_dense(np.eye(6), emb)
+        out = sketch_apply(np.eye(6), emb)
         np.testing.assert_array_equal(out, materialize(emb).toarray())
 
     @pytest.mark.parametrize("seed", range(6))
@@ -94,7 +92,7 @@ class TestApply:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((10, 30))
         emb = sparse_sign_embedding(30, 6, 2, rng)
-        implicit = apply_right_dense(A, emb)
+        implicit = sketch_apply(A, emb)
         explicit = canonical_product(A, materialize(emb))
         assert implicit.tobytes() == explicit.tobytes()
 
@@ -102,21 +100,21 @@ class TestApply:
         rng = np.random.default_rng(10)
         A = rng.standard_normal((20, 50))
         emb = sparse_sign_embedding(50, 8, 4, rng)
-        lhs = apply_right_dense(A, emb)
+        lhs = sketch_apply(A, emb)
         rhs = A @ materialize(emb).toarray()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
     def test_single_entry_propagation(self):
         emb = sparse_sign_embedding(7, 6, 3, np.random.default_rng(4))
         A = sp.csc_array(([2.5], ([1], [3])), shape=(4, 7))
-        out = apply_right_sparse(A, emb)
+        out = sketch_apply(A, emb)
         expected = np.zeros((4, 6))
         expected[1, :] = 2.5 * materialize(emb).toarray()[3, :]
         np.testing.assert_array_equal(out, expected)
 
     def test_sparse_identity(self):
         emb = sparse_sign_embedding(5, 4, 2, np.random.default_rng(5))
-        out = apply_right_sparse(sp.eye_array(5, format="csc"), emb)
+        out = sketch_apply(sp.eye_array(5, format="csc"), emb)
         np.testing.assert_array_equal(out, materialize(emb).toarray())
 
     @pytest.mark.parametrize("seed", range(4))
@@ -127,30 +125,40 @@ class TestApply:
             data_sampler=lambda size: rng.standard_normal(size),
         )
         emb = sparse_sign_embedding(100, 12, 4, rng)
-        sparse_out = apply_right_sparse(A, emb)
-        dense_out = apply_right_dense(A.toarray(), emb)
+        sparse_out = sketch_apply(A, emb)
+        dense_out = sketch_apply(A.toarray(), emb)
         assert sparse_out.tobytes() == dense_out.tobytes()
 
     def test_dispatch(self):
+        # every sparse format gives the bits of the dense path
         rng = np.random.default_rng(6)
         emb = sparse_sign_embedding(8, 4, 2, rng)
-        A = rng.standard_normal((3, 8))
-        np.testing.assert_array_equal(
-            sketch_apply(A, emb), apply_right_dense(A, emb)
+        A = rng.standard_normal((3, 8)) * (rng.random((3, 8)) < 0.5)
+        dense_out = sketch_apply(A, emb)
+        for S in (sp.csc_array(A), sp.csr_array(A), sp.coo_array(A),
+                  sp.csr_matrix(A)):
+            assert sketch_apply(S, emb).tobytes() == dense_out.tobytes()
+
+    def test_sparse_duplicates_summed(self):
+        # two stored entries at (0, 1) mean their sum, as in the dense copy
+        A = sp.csc_array(
+            (np.array([1.0, 2.0, 5.0]), np.array([0, 0, 1]), np.array([0, 2, 3, 3])),
+            shape=(2, 3),
         )
-        S = sp.csc_array(A)
-        np.testing.assert_array_equal(
-            sketch_apply(S, emb), apply_right_sparse(S, emb)
-        )
+        assert not A.has_canonical_format
+        emb = sparse_sign_embedding(3, 2, 1, np.random.default_rng(0))
+        got = sketch_apply(A, emb)
+        assert got.tobytes() == sketch_apply(A.toarray(), emb).tobytes()
+        assert A.data.tolist() == [1.0, 2.0, 5.0]  # the caller's copy is kept
 
     def test_shape_mismatch(self):
         emb = sparse_sign_embedding(8, 4, 2, np.random.default_rng(7))
         with pytest.raises(DimensionMismatchError):
-            apply_right_dense(np.zeros((3, 9)), emb)
+            sketch_apply(np.zeros((3, 9)), emb)
         with pytest.raises(DimensionMismatchError):
-            apply_right_sparse(sp.csc_array((3, 9)), emb)
+            sketch_apply(sp.csc_array((3, 9)), emb)
         with pytest.raises(DimensionMismatchError):
-            apply_right_sparse(np.zeros((3, 8)), emb)
+            sketch_apply(np.zeros(8), emb)
 
 
 class TestStatisticalIsotropy:
