@@ -46,7 +46,6 @@ from .errors import (
 )
 from .linalg import (
     RANK_RTOL,
-    HouseholderQR,
     apply_pinv_right,
     orth,
     squared_row_norms,
@@ -88,7 +87,6 @@ __all__ = [
     "BenchmarkRecord",
     "DimensionMismatchError",
     "EmptyMatrixError",
-    "HouseholderQR",
     "InterpolativeDecomposition",
     "InvalidParamError",
     "InvalidSparsityError",

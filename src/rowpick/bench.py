@@ -75,7 +75,7 @@ def canonical_method(name):
     return name
 
 
-def run_method(method, A, k, rng, zeta=4, oversample=2.0, max_rounds=64):
+def run_method(method, A, k, rng, zeta=4, oversample=2.0):
     """Run one named method at rank ``k`` and return its decomposition."""
     method = canonical_method(method)
     m, n = A.shape
@@ -83,7 +83,7 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0, max_rounds=64):
         raise InvalidParamError(f"need 1 <= k <= min{A.shape}, got {k}")
     if method in _ARP_VARIANTS:
         cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample,
-                        variant=_ARP_VARIANTS[method], max_rounds=max_rounds)
+                        variant=_ARP_VARIANTS[method])
         return arp_decompose(A, cfg, rng)
     cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample, variant="type2")
     if method == "SkQR":
@@ -93,7 +93,12 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0, max_rounds=64):
         pivots = PivotSet(np.asarray(perm[:k], dtype=np.intp), m)
         return build_w(A, pivots, "osid", cfg, rng)
     # RPQR: sequential selection on the full matrix, projection W
-    return build_w(A, rpqr_sequential(A.T, k, rng), "type2", cfg, rng)
+    try:
+        pivots = rpqr_sequential(A.T, k, rng)
+    except InvalidParamError:  # its message names its argument M = A^T
+        raise InvalidParamError("A has a NaN or infinite entry, or a squared "
+                                "norm past the float range") from None
+    return build_w(A, pivots, "type2", cfg, rng)
 
 
 def _cell_rng(seed, k):
@@ -101,7 +106,7 @@ def _cell_rng(seed, k):
 
 
 def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
-              oversample=2.0, timing_repeats=1, max_rounds=64):
+              oversample=2.0, timing_repeats=1):
     """Run every (method, k, seed) cell on the matrix described by ``spec``.
 
     ``timing_repeats > 1`` re-runs each cell that many times and reports the
@@ -133,8 +138,7 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
                     t0 = time.perf_counter()
                     try:
                         dec = run_method(method, A, k, rng, zeta=zeta,
-                                         oversample=oversample,
-                                         max_rounds=max_rounds)
+                                         oversample=oversample)
                     except (RowpickError, np.linalg.LinAlgError, MemoryError) as exc:
                         failure = exc
                         dec = None

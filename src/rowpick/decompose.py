@@ -15,6 +15,7 @@ Variants
     ``Phi``; a fast approximation to type2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,6 @@ class ArpConfig:
     oversample: float = 2.0
     variant: str = "osid"
     seed: object = None
-    max_rounds: int = 64
 
     def __post_init__(self):
         if self.k < 1:
@@ -63,8 +63,6 @@ class ArpConfig:
             raise InvalidParamError("oversample must be >= 1")
         if self.variant not in VARIANTS:
             raise InvalidParamError(f"variant must be one of {VARIANTS}")
-        if self.max_rounds < 1:
-            raise InvalidParamError("max_rounds must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +115,11 @@ def _take_rows(A, idx):
 def rangefinder(A, k, zeta, rng):
     """Orthonormal ``Q`` approximating the range of ``A`` from one sketch.
 
-    The sketch width is ``k`` rounded up to a multiple of ``zeta``; after
-    orthonormalization the basis is truncated back to at most ``k``
-    columns. A width below ``k`` reports numerical rank deficiency of the
-    sketch and is not an error; a width of 0 is.
+    The sketch width is ``k`` rounded up to a multiple of ``zeta``, or
+    ``k`` itself with row sparsity ``gcd(k, zeta)`` when that multiple
+    exceeds the row count; after orthonormalization the basis is truncated
+    back to at most ``k`` columns. A width below ``k`` reports numerical
+    rank deficiency of the sketch and is not an error; a width of 0 is.
 
     Raises
     ------
@@ -130,7 +129,10 @@ def rangefinder(A, k, zeta, rng):
     m, n = A.shape
     if not 1 <= k <= min(m, n):
         raise DimensionMismatchError(f"need 1 <= k <= min{A.shape}, got {k}")
-    emb = sparse_sign_embedding(n, _round_up_multiple(k, zeta), zeta, rng)
+    width = _round_up_multiple(k, zeta)
+    if width > m:
+        width, zeta = k, math.gcd(k, zeta)
+    emb = sparse_sign_embedding(n, width, zeta, rng)
     Q = orth(sketch_apply(A, emb))
     if not Q.shape[1]:
         raise RankDeficientError("A is numerically zero: its sketch has rank 0")
@@ -166,7 +168,7 @@ def select_pivots(A, cfg, rng):
     sampler.
     """
     Q = rangefinder(A, cfg.k, cfg.zeta, rng)
-    pivots, qr = rejection_rpqr(Q, rng, max_rounds=cfg.max_rounds)
+    pivots, qr = rejection_rpqr(Q, rng)
     return Q, pivots, qr
 
 

@@ -1,5 +1,5 @@
-"""Dense matrix kernels: orthonormalization, appendable Householder QR,
-projections, and stable pseudoinverse application.
+"""Dense matrix kernels: orthonormalization, leverage scores, and stable
+pseudoinverse application.
 
 Conventions used throughout the library:
 
@@ -10,11 +10,12 @@ Conventions used throughout the library:
 * the relative cutoff for every rank decision is the single constant
   ``RANK_RTOL``, taken relative to a Frobenius norm that neither overflows
   nor underflows at any scale of the input;
-* :func:`orth`, :class:`HouseholderQR` and the samplers run on numpy's BLAS
-  and LAPACK. numpy and scipy each bundle their own OpenBLAS, whose idle
-  worker threads spin for about 0.1 s after a threaded call; on a two-core
-  machine a threaded call into the other library meanwhile runs several
-  times slower, which a sampler called right after ``orth`` would pay.
+* :func:`orth` and the samplers, with the block sampler's QR, run on
+  numpy's BLAS and LAPACK. numpy and scipy each bundle their own OpenBLAS,
+  whose idle worker threads spin for about 0.1 s after a threaded call; on
+  a two-core machine a threaded call into the other library meanwhile runs
+  several times slower, which a sampler called right after ``orth`` would
+  pay.
 """
 
 import math
@@ -27,7 +28,6 @@ from .errors import (
     EmptyMatrixError,
     InvalidParamError,
     RankDeficientError,
-    RankDeficientUpdateError,
 )
 
 RANK_RTOL = 1e-12
@@ -150,201 +150,6 @@ def squared_row_norms(Q):
     return np.einsum("ij,ij->i", Q, Q)
 
 
-class HouseholderQR:
-    """QR factorization of a growing set of columns in ambient dimension ``d``.
-
-    Columns are absorbed append-only via :meth:`update`; previously stored
-    reflectors are never modified. The orthogonal factor is kept implicitly
-    as a compact product ``I - V T V^T`` of Householder reflectors and is
-    never formed; :meth:`project_out`, :meth:`apply_qt` and :meth:`apply_q`
-    apply it through matrix products with the stored blocks.
-
-    A freshly constructed object represents the empty factorization:
-    ``k_cur == 0`` and ``project_out`` is the identity.
-    """
-
-    def __init__(self, d, capacity=8):
-        d = int(d)
-        if d < 1:
-            raise DimensionMismatchError("ambient dimension must be >= 1")
-        cap = min(int(capacity), d)
-        self.d = d
-        self.k_cur = 0
-        self._V = np.zeros((d, cap))  # unit-diagonal Householder vectors
-        self._T = np.zeros((cap, cap))  # upper-triangular WY block
-        self._Rfull = np.zeros((cap, cap))
-
-    @property
-    def R(self):
-        """The current k_cur x k_cur upper-triangular factor (a view)."""
-        k = self.k_cur
-        return self._Rfull[:k, :k]
-
-    def _ensure_capacity(self, k_new):
-        cap = self._V.shape[1]
-        if k_new <= cap:
-            return
-        new_cap = min(self.d, max(k_new, 2 * cap))
-        V = np.zeros((self.d, new_cap))
-        T = np.zeros((new_cap, new_cap))
-        R = np.zeros((new_cap, new_cap))
-        V[:, :cap] = self._V
-        T[:cap, :cap] = self._T
-        R[:cap, :cap] = self._Rfull
-        self._V, self._T, self._Rfull = V, T, R
-
-    def _apply_product_t(self, M):
-        # (H_k ... H_1) M = M - V T^T (V^T M)
-        k = self.k_cur
-        V = self._V[:, :k]
-        T = self._T[:k, :k]
-        return M - V @ (T.T @ (V.T @ M))
-
-    def _complement_t(self, M):
-        # P^T M = _apply_product_t(M)[k:] for P = (H_1 ... H_k)[:, k:], the
-        # orthonormal complement of the absorbed columns; forming P costs
-        # d k (d - k) multiply-adds, so it pays once k passes about d / 2
-        k = self.k_cur
-        V = self._V[:, :k]
-        P = -(V @ (self._T[:k, :k] @ V[k:].T))
-        P[k:].flat[:: self.d - k + 1] += 1.0  # P[k:] is the identity less a product
-        return P.T @ M
-
-    def _apply_product(self, M):
-        # (H_1 ... H_k) M = M - V T (V^T M)
-        k = self.k_cur
-        V = self._V[:, :k]
-        T = self._T[:k, :k]
-        return M - V @ (T @ (V.T @ M))
-
-    def update(self, new_cols):
-        """Absorb ``new_cols`` (d x a) so the factorization represents the
-        concatenation of everything absorbed so far.
-
-        Raises
-        ------
-        DimensionMismatchError
-            Wrong row count, or more columns than the ambient dimension holds.
-        RankDeficientUpdateError
-            A new column is numerically in the span of the absorbed ones
-            (its fresh diagonal entry is below ``RANK_RTOL`` relative to the
-            column's norm), the signature of a duplicate pivot. Nothing of
-            the block is absorbed then.
-        """
-        C = np.asarray(new_cols, dtype=np.float64)
-        if C.ndim == 1:
-            C = C[:, None]
-        if C.ndim != 2 or C.shape[0] != self.d:
-            raise DimensionMismatchError(
-                f"expected {self.d} rows, got shape {C.shape}"
-            )
-        a = C.shape[1]
-        if a == 0:
-            return
-        i0 = self.k_cur
-        if i0 + a > self.d:
-            raise DimensionMismatchError(
-                f"cannot absorb {a} more columns: {i0} of {self.d} used"
-            )
-        self._absorb(C)
-
-    def _absorb(self, C):
-        # update() on a checked float64 block with room for its columns
-        i0 = self.k_cur
-        i1 = i0 + C.shape[1]
-        self._ensure_capacity(i1)
-        W = self._apply_product_t(C) if i0 else C.copy()
-        self._factor(W, i0, 0)
-        V, T = self._V, self._T
-        if i0:  # couple the new reflectors to the stored ones
-            T[:i0, i0:i1] = -(T[:i0, :i0] @ (V[i0:, :i0].T @ V[i0:, i0:i1])
-                              @ T[i0:i1, i0:i1])
-        self.k_cur = i1
-
-    def _factor(self, W, i0, j):
-        # Householder QR of the columns j, j+1, ... of an update whose first
-        # column goes to position i0; W holds them in the coordinates of the
-        # reflectors before position i0 + j. Halving the block recursively,
-        # as LAPACK's dgeqrt3 does, turns the trailing updates and the
-        # coupling of the two halves' T blocks into matrix products.
-        V, T, R = self._V, self._T, self._Rfull
-        i = i0 + j
-        a = W.shape[1]
-        if a > 1:
-            h = a // 2
-            self._factor(W[:, :h], i0, j)
-            V1, T1 = V[i:, i:i + h], T[i:i + h, i:i + h]
-            rest = W[i:, h:]
-            rest -= V1 @ (T1.T @ (V1.T @ rest))
-            self._factor(W[:, h:], i0, j + h)
-            V2, T2 = V[i + h:, i + h:i + a], T[i + h:i + a, i + h:i + a]
-            T[i:i + h, i + h:i + a] = -(T1 @ (V1[h:].T @ V2) @ T2)
-            return
-        x = W[i:, 0]
-        normx2 = float(x.dot(x))
-        # reflections keep column norms, so the norm of the whole column
-        # of W is the norm of the new column
-        above = W[:i, 0]
-        norm2 = normx2 + float(above.dot(above)) if i else normx2
-        if normx2 <= (RANK_RTOL * RANK_RTOL) * norm2 or norm2 == 0.0:
-            raise RankDeficientUpdateError(
-                f"column {j} of the update is numerically dependent "
-                f"(residual^2 {normx2:.3e} vs norm^2 {norm2:.3e})"
-            )
-        alpha = x.item(0)
-        beta = -math.copysign(math.sqrt(normx2), alpha)
-        v0 = alpha - beta  # no cancellation: signs of alpha and -beta agree
-        v = V[i:, i]  # the reflector's rows above i stay zero
-        v[0] = 1.0
-        if i + 1 < self.d:  # a reflector of the last row has no tail
-            np.divide(x[1:], v0, out=v[1:])
-        T[i, i] = -v0 / beta
-        if i:
-            R[:i, i] = above
-        R[i, i] = beta
-
-    def project_out(self, M):
-        """Return ``(I - U U^T) M`` where U is the implicit orthonormal factor.
-
-        Computed via reflector products; the empty factorization returns a
-        copy of ``M``.
-        """
-        M = _as_matrix(M, "M")
-        if M.shape[0] != self.d:
-            raise DimensionMismatchError(
-                f"expected {self.d} rows, got {M.shape[0]}"
-            )
-        if self.k_cur == 0:
-            return M.copy()
-        W = self._apply_product_t(M)
-        W[: self.k_cur, :] = 0.0
-        return self._apply_product(W)
-
-    def apply_qt(self, M):
-        """Return ``U^T M`` (k_cur x cols) without forming U."""
-        M = _as_matrix(M, "M")
-        if M.shape[0] != self.d:
-            raise DimensionMismatchError(
-                f"expected {self.d} rows, got {M.shape[0]}"
-            )
-        return self._apply_product_t(M)[: self.k_cur, :]
-
-    def apply_q(self, C):
-        """Return ``U C`` (d x cols) for a coefficient block with k_cur rows."""
-        C = _as_matrix(C, "C")
-        if C.shape[0] != self.k_cur:
-            raise DimensionMismatchError(
-                f"expected {self.k_cur} rows, got {C.shape[0]}"
-            )
-        X = np.zeros((self.d, C.shape[1]))
-        X[: self.k_cur, :] = C
-        return self._apply_product(X)
-
-    def reconstruct(self):
-        """The absorbed columns, rebuilt as ``U R`` from the stored factors."""
-        return self.apply_q(self.R)
-
-
 def apply_pinv_right(A, B):
     """Compute ``A @ pinv(B)`` for a full-row-rank ``B`` via QR of ``B^T``.
 
@@ -382,11 +187,11 @@ def apply_pinv_right(A, B):
     return np.ascontiguousarray(sla.solve_triangular(Rb, np.asarray(Y).T, lower=False).T)
 
 
-def svd_pinv_apply(A, B, rcond=RANK_RTOL):
+def svd_pinv_apply(A, B):
     """Fallback ``A @ pinv(B)`` through a truncated SVD of ``B``.
 
-    Singular values below ``rcond`` times the largest are treated as zero.
-    Used when :func:`apply_pinv_right` refuses a rank-deficient ``B``.
+    Singular values below ``RANK_RTOL`` times the largest are treated as
+    zero. Used when :func:`apply_pinv_right` refuses a rank-deficient ``B``.
     """
     B = _as_matrix(B, "B")
-    return np.asarray(A @ np.linalg.pinv(B, rcond=rcond))
+    return np.asarray(A @ np.linalg.pinv(B, rcond=RANK_RTOL))

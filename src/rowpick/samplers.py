@@ -1,6 +1,7 @@
 """Pivot selection: sequential randomly pivoted QR and the block
 rejection sampler that draws volume-sampled row subsets from an
-orthonormal basis.
+orthonormal basis, with the appendable Householder QR of the rows it
+chooses.
 
 Both samplers own their generator stream for the duration of a call;
 independent calls with independent streams are safe to run concurrently.
@@ -18,10 +19,12 @@ from .errors import (
     MaxRoundsExceededError,
     NotOrthonormalError,
     RankDeficientError,
+    RankDeficientUpdateError,
 )
-from .linalg import BLOCK_ENTRIES, HouseholderQR, _canonical, squared_row_norms
+from .linalg import BLOCK_ENTRIES, RANK_RTOL, _canonical, squared_row_norms
 
 ACCEPT_SLACK = 1e-12  # roundoff allowance on acceptance ratios
+MAX_ROUNDS = 64  # proposal rounds of the block sampler before it gives up
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,25 +135,125 @@ def _accept_pass(H, lev, rng, accept_bias, room):
     return accepted
 
 
-def rejection_rpqr(Q, rng, max_rounds=64, block_size=None, _accept_bias=0.0):
+class HouseholderQR:
+    """The block sampler's QR factorization of the columns it has absorbed,
+    the chosen rows of ``Q`` as columns of ``Q^T``, in dimension ``d``.
+
+    Columns are appended by :meth:`_absorb`; stored reflectors are never
+    modified. The orthogonal factor ``U`` is kept implicitly as a compact
+    product ``I - V T V^T`` of Householder reflectors and is never formed.
+    The sampler reads each round's proposal residuals through
+    :meth:`_complement_t`; the ``type1`` interpolation matrix reads :attr:`R`
+    and :meth:`apply_qt`. All buffers are ``d x d``.
+    """
+
+    def __init__(self, d):
+        self.d = d
+        self.k_cur = 0
+        self._V = np.zeros((d, d))  # unit-diagonal Householder vectors
+        self._T = np.zeros((d, d))  # upper-triangular WY block
+        self._Rfull = np.zeros((d, d))
+
+    @property
+    def R(self):
+        """The current k_cur x k_cur upper-triangular factor (a view)."""
+        k = self.k_cur
+        return self._Rfull[:k, :k]
+
+    def apply_qt(self, M):
+        """Return ``U^T M`` (k_cur x cols) for a ``d``-row ``M``, without
+        forming U."""
+        return self._apply_product_t(M)[: self.k_cur, :]
+
+    def _apply_product_t(self, M):
+        # (H_k ... H_1) M = M - V T^T (V^T M)
+        k = self.k_cur
+        V = self._V[:, :k]
+        T = self._T[:k, :k]
+        return M - V @ (T.T @ (V.T @ M))
+
+    def _complement_t(self, M):
+        # P^T M = _apply_product_t(M)[k:] for P = (H_1 ... H_k)[:, k:], the
+        # orthonormal complement of the absorbed columns; forming P costs
+        # d k (d - k) multiply-adds, so it pays once k passes about d / 2
+        k = self.k_cur
+        V = self._V[:, :k]
+        P = -(V @ (self._T[:k, :k] @ V[k:].T))
+        P[k:].flat[:: self.d - k + 1] += 1.0  # P[k:] is the identity less a product
+        return P.T @ M
+
+    def _absorb(self, C):
+        # append the columns of the float64 block C (d x a, k_cur + a <= d);
+        # raises RankDeficientUpdateError when a column is numerically in
+        # the span of the absorbed ones, the signature of a duplicate pivot
+        i0 = self.k_cur
+        i1 = i0 + C.shape[1]
+        W = self._apply_product_t(C) if i0 else C.copy()
+        self._factor(W, i0, 0)
+        V, T = self._V, self._T
+        if i0:  # couple the new reflectors to the stored ones
+            T[:i0, i0:i1] = -(T[:i0, :i0] @ (V[i0:, :i0].T @ V[i0:, i0:i1])
+                              @ T[i0:i1, i0:i1])
+        self.k_cur = i1
+
+    def _factor(self, W, i0, j):
+        # Householder QR of the columns j, j+1, ... of an update whose first
+        # column goes to position i0; W holds them in the coordinates of the
+        # reflectors before position i0 + j. Halving the block recursively,
+        # as LAPACK's dgeqrt3 does, turns the trailing updates and the
+        # coupling of the two halves' T blocks into matrix products.
+        V, T, R = self._V, self._T, self._Rfull
+        i = i0 + j
+        a = W.shape[1]
+        if a > 1:
+            h = a // 2
+            self._factor(W[:, :h], i0, j)
+            V1, T1 = V[i:, i:i + h], T[i:i + h, i:i + h]
+            rest = W[i:, h:]
+            rest -= V1 @ (T1.T @ (V1.T @ rest))
+            self._factor(W[:, h:], i0, j + h)
+            V2, T2 = V[i + h:, i + h:i + a], T[i + h:i + a, i + h:i + a]
+            T[i:i + h, i + h:i + a] = -(T1 @ (V1[h:].T @ V2) @ T2)
+            return
+        x = W[i:, 0]
+        normx2 = float(x.dot(x))
+        # reflections keep column norms, so the norm of the whole column
+        # of W is the norm of the new column
+        above = W[:i, 0]
+        norm2 = normx2 + float(above.dot(above)) if i else normx2
+        if normx2 <= (RANK_RTOL * RANK_RTOL) * norm2 or norm2 == 0.0:
+            raise RankDeficientUpdateError(
+                f"column {j} of the update is numerically dependent "
+                f"(residual^2 {normx2:.3e} vs norm^2 {norm2:.3e})"
+            )
+        alpha = x.item(0)
+        beta = -math.copysign(math.sqrt(normx2), alpha)
+        v0 = alpha - beta  # no cancellation: signs of alpha and -beta agree
+        v = V[i:, i]  # the reflector's rows above i stay zero
+        v[0] = 1.0
+        if i + 1 < self.d:  # a reflector of the last row has no tail
+            np.divide(x[1:], v0, out=v[1:])
+        T[i, i] = -v0 / beta
+        if i:
+            R[:i, i] = above
+        R[i, i] = beta
+
+
+def rejection_rpqr(Q, rng, _accept_bias=0.0):
     """Draw a volume-sampled pivot set from an orthonormal-column ``Q``.
 
-    Proposes blocks of pivots iid from the leverage score distribution and
-    filters them through an accept/reject pass over the Gram of their
-    residuals, maintaining an incrementally updated Householder QR of the
-    selected columns of ``Q^T``.
-    The returned subset of ``k = Q.shape[1]`` rows follows the distribution
-    with probability proportional to ``det(Q[S, :])**2``.
+    Each round proposes ``k = Q.shape[1]`` rows iid from the leverage score
+    distribution and filters them through an accept/reject pass over the
+    Gram of their residuals, keeping a :class:`HouseholderQR` of the chosen
+    rows as columns of ``Q^T``. The returned subset of ``k`` rows follows
+    the distribution with probability proportional to ``det(Q[S, :])**2``.
+    ``MAX_ROUNDS`` rounds that leave pivots missing signal a numerically
+    deficient ``Q``.
 
     Parameters
     ----------
     Q : (m, k) ndarray with orthonormal columns (checked to 1e-8)
     rng : numpy Generator
-    max_rounds : int
-        Safety cap on proposal rounds; hitting it signals a numerically
-        deficient ``Q``.
-    block_size : int, optional
-        Proposals per round; defaults to ``k``.
 
     Returns
     -------
@@ -175,14 +278,13 @@ def rejection_rpqr(Q, rng, max_rounds=64, block_size=None, _accept_bias=0.0):
     cum = lev.cumsum()
     edges, total = cum[:-1], cum[-1]
     lev = lev.tolist()
-    qr = HouseholderQR(k, capacity=k)
+    qr = HouseholderQR(k)
     chosen = []
-    bs = k if block_size is None else int(block_size)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         room = k - len(chosen)
         if not room:
             break
-        proposals = _draw_from_cumulative(edges, total, bs, rng)
+        proposals = _draw_from_cumulative(edges, total, k, rng)
         cols = Q.take(proposals, axis=0).T
         # the proposals' residuals in the coordinates the reflectors leave
         # free: their Gram is that of the projected-out columns
@@ -197,7 +299,7 @@ def rejection_rpqr(Q, rng, max_rounds=64, block_size=None, _accept_bias=0.0):
             chosen.extend(new_rows)
     if len(chosen) < k:
         raise MaxRoundsExceededError(
-            f"{max_rounds} proposal rounds yielded only {len(chosen)} of {k} "
+            f"{MAX_ROUNDS} proposal rounds yielded only {len(chosen)} of {k} "
             "pivots; Q is likely numerically deficient"
         )
     return PivotSet(chosen, m), qr

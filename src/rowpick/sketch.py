@@ -103,7 +103,9 @@ def sketch_apply(A, emb):
     :func:`materialize`'s output in the canonical accumulation order.
 
     Sparse ``A`` is read in canonical CSC form, so duplicate entries are
-    summed first, as in its dense copy.
+    summed first, as in its dense copy. Every entry of ``A`` reaches the
+    product, so a NaN or infinite entry leaves one in the output, which is
+    refused with :class:`InvalidParamError`.
     """
     if sp.issparse(A):
         A = _canonical(A, sp.csc_array).astype(np.float64, copy=False)
@@ -116,4 +118,7 @@ def sketch_apply(A, emb):
     out_t = materialize(emb).T @ A.T
     if sp.issparse(out_t):
         out_t = out_t.toarray()
+    if not np.isfinite(out_t).all():
+        raise InvalidParamError(
+            "A has a NaN or infinite entry, or its sketch overflows")
     return np.ascontiguousarray(out_t.T)

@@ -100,7 +100,9 @@ def _check_expected_error_identity(rng):
     return worst <= 1e-10, f"worst relative gap {worst:.2e}"
 
 
-def _active_regression_gaps(rng, trials=20):
+def _check_active_regression(rng, trials=20):
+    """Outcomes of the unbiasedness and the error identity, from one run of
+    the enumeration."""
     worst_beta = worst_err = 0.0
     for _ in range(trials):
         m = int(rng.integers(4, 8))
@@ -111,7 +113,8 @@ def _active_regression_gaps(rng, trials=20):
         scale = max(float(np.linalg.norm(true_beta)), 1e-30)
         worst_beta = max(worst_beta, float(np.linalg.norm(expected_beta - true_beta)) / scale)
         worst_err = max(worst_err, abs(lhs - rhs) / max(rhs, 1e-30))
-    return worst_beta, worst_err
+    return [(worst <= 1e-10, f"worst relative gap {worst:.2e}")
+            for worst in (worst_beta, worst_err)]
 
 
 def _check_optimality_range(rng):
@@ -139,29 +142,25 @@ def run_verify(seed=0, corrupt=False, stream=None, draws=SAMPLER_DRAWS):
     bias = 0.05 if corrupt else 0.0
     results = []
 
-    def check(name, fn):
+    def check(names, fn):
+        # fn returns one (ok, detail) pair, or a list of them for a tuple of
+        # names; each name takes up one stream index, used or not
+        single = isinstance(names, str)
+        names = [names] if single else names
         try:
-            ok, detail = fn(_rng(seed, len(results)))
+            outcomes = fn(_rng(seed, len(results)))
+            outcomes = [outcomes] if single else outcomes
         except RowpickError as exc:
             # a checked routine refusing to run is itself a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
+            outcomes = [(False, f"raised {type(exc).__name__}: {exc}")] * len(names)
+        results.extend((name, ok, detail) for name, (ok, detail) in zip(names, outcomes))
 
     check("volume-probs-hand-cases", _check_volume_hand_cases)
     check("volume-kdpp-equivalence", _check_vs_kdpp)
     check("volume-right-invariance", _check_vs_invariance)
     check("expected-error-identity", _check_expected_error_identity)
-
-    def beta_check(rng):
-        worst_beta, _ = _active_regression_gaps(rng)
-        return worst_beta <= 1e-10, f"worst relative gap {worst_beta:.2e}"
-
-    def err_check(rng):
-        _, worst_err = _active_regression_gaps(rng)
-        return worst_err <= 1e-10, f"worst relative gap {worst_err:.2e}"
-
-    check("active-regression-unbiased", beta_check)
-    check("active-regression-error-identity", err_check)
+    check(("active-regression-unbiased", "active-regression-error-identity"),
+          _check_active_regression)
     check("worst-case-instance-suboptimality", _check_optimality_range)
 
     def seq_tv(rng):

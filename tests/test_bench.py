@@ -7,9 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rowpick import (
     BenchmarkRecord,
+    METHOD_ORDER,
     InvalidParamError,
     MatrixSpec,
     gen_decay_sparse,
@@ -61,6 +63,16 @@ class TestMethodDispatch:
             tracemalloc.stop()
         assert len(dec.pivots) == 60
         assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, sparse, bad):
+        A = SPEC.build()
+        A[7, 3] = bad
+        A = sp.csc_array(A) if sparse else A
+        for method in METHOD_ORDER:
+            with pytest.raises(InvalidParamError, match="^A has a NaN or infinite entry"):
+                run_method(method, A, 3, np.random.default_rng(0))
 
     def test_skqr_pivots_deterministic_given_stream(self):
         A = SPEC.build()

@@ -180,6 +180,23 @@ class TestArpDecompose:
         with pytest.raises(RankDeficientError, match="numerically zero"):
             arp_decompose(A, ArpConfig(k=3, seed=0))
 
+    @pytest.mark.parametrize("zeta", [1, 2, 4, 8])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tiny_shapes(self, variant, zeta):
+        # every valid k on every shape up to 8x8, including those where the
+        # sketch width k rounded up to a multiple of zeta exceeds the rows
+        rng = np.random.default_rng(zeta)
+        for m in range(1, 9):
+            for n in range(1, 9):
+                A = rng.standard_normal((m, n))
+                for k in range(1, min(m, n) + 1):
+                    dec = arp_decompose(A, ArpConfig(k=k, zeta=zeta, variant=variant, seed=k))
+                    r = len(dec.pivots)
+                    assert 1 <= r <= k and dec.w.shape == (m, r)
+                    if not dec.pinv_fallback:
+                        assert np.array_equal(dec.w[dec.pivots.indices], np.eye(r))
+                    assert np.isfinite(residual_fro(A, dec))
+
     @pytest.mark.parametrize("sparse", [False, True])
     def test_pipeline_phases_keep_the_stream(self, sparse):
         A = gen_decay_sparse(60, 40, 6, np.random.default_rng(3))

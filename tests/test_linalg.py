@@ -1,5 +1,6 @@
-"""Dense kernel tests: orthonormalization, the appendable Householder QR,
-and pseudoinverse application against an independent SVD oracle."""
+"""Dense kernel tests: orthonormalization, the block sampler's appendable
+Householder QR, and pseudoinverse application against an independent SVD
+oracle."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from rowpick import (
     DimensionMismatchError,
     EmptyMatrixError,
-    HouseholderQR,
     InvalidParamError,
     RankDeficientError,
     RankDeficientUpdateError,
@@ -15,6 +15,7 @@ from rowpick import (
     orth,
     squared_row_norms,
 )
+from rowpick.samplers import HouseholderQR
 
 
 class TestOrth:
@@ -73,115 +74,127 @@ class TestOrth:
 
 
 class TestHouseholderQR:
+    """The block sampler's QR, through the calls the sampler and the type1
+    interpolation matrix make: ``_absorb``, ``_complement_t``, ``apply_qt``
+    and ``R``."""
+
     def test_empty_object(self):
         qr = HouseholderQR(5)
-        assert qr.k_cur == 0
+        assert qr.k_cur == 0 and qr.R.shape == (0, 0)
         M = np.random.default_rng(0).standard_normal((5, 3))
-        np.testing.assert_array_equal(qr.project_out(M), M)
+        assert qr.apply_qt(M).shape == (0, 3)
+        np.testing.assert_array_equal(qr._complement_t(M), M)
 
     def test_absorb_identity(self):
         qr = HouseholderQR(3)
-        qr.update(np.eye(3))
+        qr._absorb(np.eye(3))
         assert qr.k_cur == 3
         np.testing.assert_allclose(np.abs(qr.R), np.eye(3), atol=1e-14)
         # R^T R must match the Gram matrix of the absorbed columns
         np.testing.assert_allclose(qr.R.T @ qr.R, np.eye(3), atol=1e-14)
 
     def test_incremental_append_reconstructs(self):
+        # U^T [M v] = R and nothing of [M v] is left in the complement, so
+        # the absorbed columns are U R
         rng = np.random.default_rng(3)
         M = rng.standard_normal((6, 2))
         v = rng.standard_normal((6, 1))
         qr = HouseholderQR(6)
-        qr.update(M)
-        qr.update(v)
-        rebuilt = qr.reconstruct()
+        qr._absorb(M)
+        qr._absorb(v)
         target = np.hstack([M, v])
-        assert np.linalg.norm(rebuilt - target) <= 1e-12 * np.linalg.norm(target)
+        scale = np.linalg.norm(target)
+        assert np.linalg.norm(qr.apply_qt(target) - qr.R) <= 1e-12 * scale
+        assert np.linalg.norm(qr._complement_t(target)) <= 1e-12 * scale
+        np.testing.assert_array_equal(qr.R, np.triu(qr.R))
 
     def test_coordinate_projection(self):
         qr = HouseholderQR(3)
-        qr.update(np.array([[1.0], [0.0], [0.0]]))
-        out = qr.project_out(np.array([[1.0], [2.0], [3.0]]))
-        np.testing.assert_allclose(out, [[0.0], [2.0], [3.0]], atol=1e-14)
+        qr._absorb(np.array([[1.0], [0.0], [0.0]]))
+        C = qr._complement_t(np.array([[1.0], [2.0], [3.0]]))
+        assert C.shape == (2, 1)
+        np.testing.assert_allclose(C.T @ C, [[13.0]], atol=1e-13)
 
     def test_projection_annihilates_absorbed_columns(self):
         rng = np.random.default_rng(11)
         M = rng.standard_normal((8, 3))
         qr = HouseholderQR(8)
-        qr.update(M)
-        out = qr.project_out(M)
+        qr._absorb(M)
+        out = qr._complement_t(M)
         assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(M)
 
     def test_projection_output_orthogonal_to_absorbed(self):
+        # the Gram of the complement coordinates is the Gram of the
+        # projected-out columns, the one the accept pass reads
         rng = np.random.default_rng(12)
-        cols = rng.standard_normal((9, 2))
-        qr = HouseholderQR(9)
-        qr.update(cols)
-        out = qr.project_out(rng.standard_normal((9, 4)))
-        assert np.max(np.abs(cols.T @ out)) <= 1e-12
+        for absorbed in (1, 2, 5, 8):
+            cols = rng.standard_normal((9, absorbed))
+            X = rng.standard_normal((9, 4))
+            qr = HouseholderQR(9)
+            qr._absorb(cols)
+            C = qr._complement_t(X)
+            U = np.linalg.qr(cols)[0]  # an independent basis of the span
+            ref = X - U @ (U.T @ X)
+            np.testing.assert_allclose(C.T @ C, ref.T @ ref, atol=1e-12)
 
     def test_project_out_leaves_argument_unchanged(self):
         rng = np.random.default_rng(13)
         qr = HouseholderQR(6)
         M = rng.standard_normal((6, 3))
-        before = M.copy()
-        qr.project_out(M)[:] = 7.0  # empty factorization: a copy, not M
-        qr.update(rng.standard_normal((6, 2)))
-        qr.project_out(M)
+        cols = rng.standard_normal((6, 2))
+        before, cols_before = M.copy(), cols.copy()
+        qr._absorb(cols)
+        qr._absorb(M[:, :1])
+        qr._complement_t(M)
+        qr.apply_qt(M)
         np.testing.assert_array_equal(M, before)
+        np.testing.assert_array_equal(cols, cols_before)
 
     def test_duplicate_column_raises(self):
         rng = np.random.default_rng(4)
         c = rng.standard_normal((5, 1))
         qr = HouseholderQR(5)
-        qr.update(c)
+        qr._absorb(c)
         with pytest.raises(RankDeficientUpdateError):
-            qr.update(c)
+            qr._absorb(c)
 
     def test_reflectors_are_append_only(self):
         rng = np.random.default_rng(5)
         qr = HouseholderQR(7)
-        qr.update(rng.standard_normal((7, 2)))
+        qr._absorb(rng.standard_normal((7, 2)))
         v_before = qr._V[:, :2].copy()
         t_before = qr._T[:2, :2].copy()
         r_before = qr.R[:2, :2].copy()
-        qr.update(rng.standard_normal((7, 3)))
+        qr._absorb(rng.standard_normal((7, 3)))
         np.testing.assert_array_equal(qr._V[:, :2], v_before)
         np.testing.assert_array_equal(qr._T[:2, :2], t_before)
         np.testing.assert_array_equal(qr.R[:2, :2], r_before)
 
-    def test_dimension_errors(self):
-        qr = HouseholderQR(4)
-        with pytest.raises(DimensionMismatchError):
-            qr.update(np.zeros((3, 1)))
-        qr.update(np.eye(4))
-        with pytest.raises(DimensionMismatchError):
-            qr.update(np.ones((4, 1)))
-        with pytest.raises(DimensionMismatchError):
-            qr.project_out(np.zeros((5, 2)))
-
     def test_apply_q_qt_roundtrip(self):
+        # U^T X on top of the complement coordinates P^T X is [U P]^T X,
+        # an orthogonal transform: it keeps the Gram of X
         rng = np.random.default_rng(6)
-        M = rng.standard_normal((10, 4))
         qr = HouseholderQR(10)
-        qr.update(M)
+        qr._absorb(rng.standard_normal((10, 4)))
         X = rng.standard_normal((10, 3))
-        # U (U^T X) + (I - U U^T) X == X
-        back = qr.apply_q(qr.apply_qt(X)) + qr.project_out(X)
-        np.testing.assert_allclose(back, X, atol=1e-12)
+        Y = np.vstack([qr.apply_qt(X), qr._complement_t(X)])
+        np.testing.assert_allclose(Y.T @ Y, X.T @ X, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_blockwise_equals_columnwise(self, seed):
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((12, 5))
+        X = rng.standard_normal((12, 3))
         block = HouseholderQR(12)
-        block.update(M)
+        block._absorb(M)
         onebyone = HouseholderQR(12)
         for j in range(5):
-            onebyone.update(M[:, j: j + 1])
+            onebyone._absorb(M[:, j: j + 1])
         np.testing.assert_allclose(block.R, onebyone.R, atol=1e-12)
+        np.testing.assert_allclose(block.apply_qt(X), onebyone.apply_qt(X), atol=1e-12)
         np.testing.assert_allclose(
-            block.reconstruct(), onebyone.reconstruct(), atol=1e-12
+            block._complement_t(X).T @ block._complement_t(X),
+            onebyone._complement_t(X).T @ onebyone._complement_t(X), atol=1e-12
         )
 
 

@@ -23,7 +23,7 @@ from rowpick import (
     run_method,
 )
 from rowpick import samplers
-from rowpick.linalg import HouseholderQR, squared_row_norms
+from rowpick.linalg import squared_row_norms
 from rowpick.samplers import (
     ACCEPT_SLACK,
     _accept_pass,
@@ -38,8 +38,9 @@ def empirical(sample_fn, draws):
 
 
 # Right-looking references: the same samplers written as explicit
-# elimination on a working copy. The library's left-looking forms must make
-# the same decisions on the same generator stream.
+# elimination on a working copy, with the chosen rows projected out through
+# numpy's QR rather than the sampler's own. The library's left-looking forms
+# must make the same decisions on the same generator stream.
 
 def right_looking_accept_pass(H, lev, rng):
     """Accept/reject walk that applies each acceptance's Schur-complement
@@ -57,21 +58,27 @@ def right_looking_accept_pass(H, lev, rng):
     return accepted
 
 
+def projected_out(Q, rows, proposals):
+    """The columns ``proposals`` of ``Q^T`` less their projection on the
+    span of its columns ``rows``."""
+    X = Q.T[:, proposals]
+    if not len(rows):
+        return X
+    U = np.linalg.qr(Q.T[:, rows])[0]
+    return X - U @ (U.T @ X)
+
+
 def right_looking_rejection(Q, rng):
     """Block rejection sampler over a projected-out Gram per round."""
     m, k = Q.shape
     lev = squared_row_norms(Q)
     cum = lev.cumsum()
-    qr = HouseholderQR(k, capacity=k)
     chosen = []
     while len(chosen) < k:
         proposals = cum[:-1].searchsorted(rng.random(k) * cum[-1], side="right")
-        C = qr.project_out(Q.T[:, proposals])
+        C = projected_out(Q, chosen, proposals)
         accepted = right_looking_accept_pass(C.T @ C, lev[proposals], rng)
-        new_rows = [int(proposals[i]) for i in accepted[: k - len(chosen)]]
-        if new_rows:
-            qr.update(Q.T[:, new_rows])
-            chosen.extend(new_rows)
+        chosen.extend(int(proposals[i]) for i in accepted[: k - len(chosen)])
     return chosen
 
 
@@ -215,12 +222,10 @@ class TestRejectionSampleSubmatrix:
         lev = squared_row_norms(Q)
         for trial in range(20):
             nb = int(rng.integers(1, 61))
-            qr = HouseholderQR(k, capacity=k)
             absorbed = int(rng.integers(0, k))
-            if absorbed:
-                qr.update(Q.T[:, rng.choice(4 * k, absorbed, replace=False)])
+            rows = rng.choice(4 * k, absorbed, replace=False) if absorbed else []
             proposals = rng.integers(0, 4 * k, nb)
-            C = qr.project_out(Q.T[:, proposals])
+            C = projected_out(Q, rows, proposals)
             H = C.T @ C
             H = (H + H.T) / 2  # the sampler's syrk Gram is exactly symmetric
             seed = 1000 * k + trial
@@ -274,20 +279,21 @@ class TestRejectionRpqr:
         np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_output_qr_consistency(self):
+        # the returned QR factors the chosen rows: U^T Q^T[:, S] = R
         rng = np.random.default_rng(6)
         Q = orth(rng.standard_normal((12, 4)))
         pivots, qr = rejection_rpqr(Q, rng)
         target = Q[pivots.indices, :].T
-        rebuilt = qr.reconstruct()
-        assert np.linalg.norm(rebuilt - target) <= 1e-12 * np.linalg.norm(target)
+        assert qr.k_cur == 4
+        got = qr.apply_qt(target)
+        assert np.linalg.norm(got - qr.R) <= 1e-12 * np.linalg.norm(target)
+        np.testing.assert_array_equal(qr.R, np.triu(qr.R))
 
-    def test_max_rounds_cap(self):
-        Q = np.eye(6)[:, :2]
-        with pytest.raises(MaxRoundsExceededError):
-            # forcing a tiny round budget on an adversarial start can trip
-            # the cap; bias-free sampling from a 2-subset support still
-            # needs at least one full round
-            rejection_rpqr(Q * 0.0 + Q, np.random.default_rng(0), max_rounds=0)
+    def test_max_rounds_cap(self, monkeypatch):
+        # with no rounds allowed, no pivot can be drawn
+        monkeypatch.setattr(samplers, "MAX_ROUNDS", 0)
+        with pytest.raises(MaxRoundsExceededError, match="0 proposal rounds"):
+            rejection_rpqr(np.eye(6)[:, :2], np.random.default_rng(0))
 
     @pytest.mark.parametrize("k", [3, 10, 60])
     def test_matches_right_looking_reference(self, k):

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import rowpick
-from rowpick import run_verify
+from rowpick import RankDeficientError, run_verify, verify
 from rowpick.cli import main
 
 
@@ -47,6 +47,35 @@ class TestRunVerify:
         buf = io.StringIO()
         assert run_verify(seed=2, stream=buf, draws=2000) == 0
         assert run_verify(seed=2, stream=buf, draws=2000, corrupt=True) == 1
+
+
+    def test_active_regression_enumerated_once(self, monkeypatch):
+        calls = []
+        real = verify.check_active_regression
+
+        def counted(X, y):
+            calls.append(1)
+            return real(X, y)
+
+        monkeypatch.setattr(verify, "check_active_regression", counted)
+        assert run_verify(seed=0, stream=io.StringIO(), draws=200) == 0
+        assert len(calls) == 20  # one enumeration per trial, for both lines
+
+    def test_active_regression_refusal_fails_both_lines(self, monkeypatch):
+        ref = io.StringIO()
+        run_verify(seed=0, stream=ref, draws=200)
+
+        def refuse(X, y):
+            raise RankDeficientError("X must have full column rank")
+
+        monkeypatch.setattr(verify, "check_active_regression", refuse)
+        buf = io.StringIO()
+        assert run_verify(seed=0, stream=buf, draws=200) == 1
+        for got, want in zip(buf.getvalue().splitlines(), ref.getvalue().splitlines()):
+            if "active-regression" in want:
+                assert got.startswith("FAIL") and "raised RankDeficientError" in got
+            elif "checks passed" not in want:
+                assert got == want  # every other check keeps its stream
 
 
 def test_import_leaves_scipy_stats_unloaded():
