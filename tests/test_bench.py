@@ -14,14 +14,16 @@ from rowpick import (
     METHOD_ORDER,
     InvalidParamError,
     MatrixSpec,
+    fro_norm,
     gen_decay_sparse,
     read_records_csv,
+    residual_fro,
     run_bench,
     run_method,
     summarize_records,
     write_records_csv,
 )
-from rowpick.bench import canonical_method
+from rowpick.bench import _cell_rng, canonical_method
 
 
 SPEC = MatrixSpec.parse("dense-decay:m=60,n=40,seed=0")
@@ -79,6 +81,28 @@ class TestMethodDispatch:
         a = run_method("SkQR", A, 4, np.random.default_rng(9), zeta=2)
         b = run_method("SkQR", A, 4, np.random.default_rng(9), zeta=2)
         np.testing.assert_array_equal(a.pivots.indices, b.pivots.indices)
+
+
+@pytest.fixture(scope="module")
+def intermediate_sparse():
+    """sparse-decay between desk and paper scale: 2e5 x 4000, 30 nonzeros
+    per column."""
+    return MatrixSpec.parse("sparse-decay:m=200000,n=4000,nnz=30,seed=0").build()
+
+
+@pytest.mark.parametrize("method", METHOD_ORDER)
+def test_intermediate_scale_sparse(intermediate_sparse, method):
+    A = intermediate_sparse
+    tracemalloc.start()
+    try:
+        dec = run_method(method, A, 60, _cell_rng(0, 60))
+        res = residual_fro(A, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.effective_rank == 60
+    assert 0.0 < res / fro_norm(A) < 1.0
+    assert peak < 2**30
 
 
 class TestRunBench:

@@ -334,8 +334,95 @@ class TestResidualFro:
         dec = arp_decompose(A, cfg)
         block_rows = {"m": 300, "m+5": 305}.get(block, block)
         blocked = residual_fro(self._inputs(A)[form], dec, block_rows=block_rows)
-        dense = np.linalg.norm(A.toarray() - dec.w @ A.toarray()[dec.pivots.indices, :])
-        assert blocked == pytest.approx(dense, rel=1e-12)
+        assert blocked == pytest.approx(self._dense_residual(A, dec), rel=1e-12)
+
+    @staticmethod
+    def _dense_residual(A, dec):
+        D = A.toarray() if sp.issparse(A) else np.asarray(A)
+        return np.linalg.norm(D - dec.w @ D[dec.pivots.indices, :])
+
+    @staticmethod
+    def _support(A, dec):
+        """Number of columns the pivot rows of ``A`` touch."""
+        return int(np.count_nonzero(
+            sp.csr_array(A)[dec.pivots.indices, :].toarray().any(axis=0)))
+
+    @pytest.mark.parametrize(
+        "form", ["csc", "csr", "coo-duplicates", "csc-duplicates"])
+    def test_partial_support_matches_dense(self, form):
+        A = gen_decay_sparse(400, 150, 4, np.random.default_rng(4))
+        dec = arp_decompose(A, ArpConfig(k=8, zeta=2, variant="osid", seed=5))
+        assert 0 < self._support(A, dec) < A.shape[1]
+        got = residual_fro(self._inputs(A)[form], dec)
+        assert got == pytest.approx(self._dense_residual(A, dec), rel=1e-12)
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 7])
+    def test_empty_support_gives_matrix_norm(self, block_rows):
+        from rowpick import PivotSet
+
+        A = sp.random_array((30, 12), density=0.3, format="lil",
+                            rng=np.random.default_rng(6))
+        A[[2, 9], :] = 0.0
+        A = sp.csr_array(A)
+        dec = InterpolativeDecomposition(
+            pivots=PivotSet(np.array([2, 9]), 30),
+            w=np.random.default_rng(7).standard_normal((30, 2)),
+            variant="type2",
+            effective_rank=2,
+            config=ArpConfig(k=2),
+        )
+        assert self._support(A, dec) == 0
+        got = residual_fro(A, dec, block_rows=block_rows)
+        assert got == pytest.approx(np.linalg.norm(A.toarray()), rel=1e-12)
+        assert got == pytest.approx(self._dense_residual(A, dec), rel=1e-12)
+
+    def test_explicit_zeros_match_dense(self):
+        A = gen_decay_sparse(300, 80, 5, np.random.default_rng(8))
+        dec = arp_decompose(A, ArpConfig(k=6, zeta=2, variant="type2", seed=9))
+        # store a zero in every row, pivot rows included
+        rows = np.arange(A.shape[0])
+        cols = (7 * rows) % A.shape[1]
+        coo = A.tocoo()
+        B = sp.csr_array((np.concatenate([coo.data, np.zeros(rows.size)]),
+                          (np.concatenate([coo.row, rows]),
+                           np.concatenate([coo.col, cols]))), shape=A.shape)
+        B.sum_duplicates()
+        assert B.nnz > A.nnz
+        P = B[dec.pivots.indices, :]
+        stored_zero_cols = P.indices[P.data == 0]
+        assert not P.toarray().any(axis=0)[stored_zero_cols].all()
+        got = residual_fro(B, dec)
+        assert got == pytest.approx(self._dense_residual(A, dec), rel=1e-12)
+
+    def test_full_support_bitwise_equals_dense(self):
+        A = gen_decay_sparse(200, 40, 120, np.random.default_rng(10))
+        dec = arp_decompose(A, ArpConfig(k=10, zeta=2, variant="type2", seed=11))
+        assert self._support(A, dec) == A.shape[1]
+        dense = residual_fro(A.toarray(), dec)
+        for form in ("csc", "csr", "coo-duplicates", "csc-duplicates"):
+            assert residual_fro(self._inputs(A)[form], dec) == dense
+
+    def test_blocks_capped_by_stored_entries(self, monkeypatch):
+        import rowpick.decompose as decompose
+        from rowpick import PivotSet
+
+        rng = np.random.default_rng(12)
+        A = sp.random_array((200, 60), density=0.2, format="lil", rng=rng)
+        A[5, :] = rng.standard_normal(60)  # one row past the cap on its own
+        A[[17, 40], :] = 0.0
+        A[17, 3] = A[40, 8] = 1.0
+        A = sp.csc_array(A)
+        dec = build_w(A, PivotSet(np.array([17, 40]), 200), "type2",
+                      ArpConfig(k=2), None)
+        monkeypatch.setattr(decompose, "BLOCK_ENTRIES", 40)
+        blocks = list(decompose._row_blocks(sp.csr_array(A), 10**6))
+        assert (5, 6) in blocks
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == 200
+        ptr = sp.csr_array(A).indptr
+        assert all(ptr[hi] - ptr[lo] <= 40 for lo, hi in blocks if hi - lo > 1)
+        got = residual_fro(A, dec)
+        assert got == pytest.approx(self._dense_residual(A, dec), rel=1e-12)
 
     def test_block_rows_validated(self):
         A = np.eye(4)

@@ -12,17 +12,7 @@ from rowpick import (
     sketch_apply,
     sparse_sign_embedding,
 )
-
-
-def canonical_product(A, omega_csc):
-    """A @ Omega accumulated per output column in ascending input-row order,
-    straight off the materialized CSC structure."""
-    out = np.zeros((A.shape[0], omega_csc.shape[1]))
-    indptr, indices, data = omega_csc.indptr, omega_csc.indices, omega_csc.data
-    for c in range(omega_csc.shape[1]):
-        for p in range(indptr[c], indptr[c + 1]):
-            out[:, c] += A[:, indices[p]] * data[p]
-    return out
+from rowpick.verify import _canonical_product
 
 
 class TestConstruction:
@@ -93,7 +83,7 @@ class TestApply:
         A = rng.standard_normal((10, 30))
         emb = sparse_sign_embedding(30, 6, 2, rng)
         implicit = sketch_apply(A, emb)
-        explicit = canonical_product(A, materialize(emb))
+        explicit = _canonical_product(A, materialize(emb))
         assert implicit.tobytes() == explicit.tobytes()
 
     def test_dense_close_to_scipy_matmul(self):
