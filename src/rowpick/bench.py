@@ -40,7 +40,9 @@ from .sketch import sketch_apply, sparse_sign_embedding
 
 METHOD_ORDER = ("ARP", "ProjARP", "SkARP", "SkQR", "RPQR")
 METHOD_ALIASES = {"OptARP": "ProjARP"}
-_ARP_VARIANTS = {"ARP": "type1", "ProjARP": "type2", "SkARP": "osid"}
+# the W each method builds; the first three share the ARP pivots
+_VARIANTS = {"ARP": "type1", "ProjARP": "type2", "SkARP": "osid",
+             "SkQR": "osid", "RPQR": "type2"}
 
 CSV_HEADER = "method,matrix,m,n,k,seed,rel_fro_error,wall_time_s,effective_rank"
 
@@ -81,24 +83,23 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0):
     m, n = A.shape
     if not 1 <= k <= min(m, n):
         raise InvalidParamError(f"need 1 <= k <= min{A.shape}, got {k}")
-    if method in _ARP_VARIANTS:
-        cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample,
-                        variant=_ARP_VARIANTS[method])
+    cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample,
+                    variant=_VARIANTS[method])
+    if method in ("ARP", "ProjARP", "SkARP"):
         return arp_decompose(A, cfg, rng)
-    cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample, variant="type2")
     if method == "SkQR":
         emb = sparse_sign_embedding(n, _round_up_multiple(k, zeta), zeta, rng)
         B = sketch_apply(A, emb)
         _, _, perm = sla.qr(B.T, mode="economic", pivoting=True)
         pivots = PivotSet(np.asarray(perm[:k], dtype=np.intp), m)
-        return build_w(A, pivots, "osid", cfg, rng)
+        return build_w(A, pivots, cfg, rng)
     # RPQR: sequential selection on the full matrix, projection W
     try:
         pivots = rpqr_sequential(A.T, k, rng)
     except InvalidParamError:  # its message names its argument M = A^T
         raise InvalidParamError("A has a NaN or infinite entry, or a squared "
                                 "norm past the float range") from None
-    return build_w(A, pivots, "type2", cfg, rng)
+    return build_w(A, pivots, cfg, rng)
 
 
 def _cell_rng(seed, k):

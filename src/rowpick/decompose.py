@@ -5,8 +5,8 @@ output variants, plus residual evaluation.
 Variants
 --------
 ``type1``
-    ``W = Q @ inv(Q[S, :])``, built from the sampler's QR factors with one
-    orthogonal apply and one triangular solve, with no extra factorization.
+    ``W = Q @ inv(Q[S, :])`` for the rangefinder's basis ``Q``, through the
+    same ``X @ pinv(B)`` kernel as the other two variants.
 ``type2``
     ``W = A @ pinv(A[S, :])``; the row-span-optimal projection, never worse
     than type1 in Frobenius norm for the same pivots.
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidParamError, RankDeficientError
@@ -79,8 +78,10 @@ class InterpolativeDecomposition:
     identity unless ``pinv_fallback`` is set. ``effective_rank`` is the
     number of pivots actually produced, which drops below ``config.k`` when
     the rangefinder detects lower numerical rank. ``pinv_fallback`` flags
-    that a rank-deficient pseudoinverse was replaced by its truncated-SVD
-    variant, whose pivot rows are left as computed.
+    that the factor ``W`` inverts or pseudoinverts (``Q[S, :]`` for
+    ``type1``, ``A[S, :]`` or its sketch for the others) was numerically
+    rank deficient, so its pseudoinverse came from a truncated SVD and the
+    pivot rows of ``w`` are left as computed.
 
     Two decompositions are equal, and hash alike, when their pivots,
     variant, rank, config and fallback flag are equal and ``w`` has the
@@ -155,51 +156,45 @@ def _pinv_apply(A, B):
         return svd_pinv_apply(A, B), True
 
 
-def build_type1_w(Q, qr):
-    """Interpolation matrix ``Q @ inv(Q[S, :])`` from the sampler's QR of
-    ``Q^T[:, S]``: one implicit orthogonal apply and one triangular solve.
-    """
-    Z = qr.apply_qt(Q.T).T  # = Q @ U
-    return np.ascontiguousarray(
-        sla.solve_triangular(qr.R, Z.T, lower=False).T
-    )
+def build_type1_w(Q, pivots):
+    """``(W, fallback)`` for ``W = Q @ inv(Q[S, :])``, by :func:`_pinv_apply`."""
+    return _pinv_apply(Q, Q[pivots.indices])
 
 
 def select_pivots(A, cfg, rng):
     """The pivot phase of :func:`arp_decompose`: the rangefinder's basis
     ``Q``, then a volume-sampled pivot set of ``Q``'s rows.
 
-    Returns ``(Q, pivots, qr)``, with ``qr`` the sampler's QR of
-    ``Q^T[:, S]``. Draws from ``rng`` in that order: the sketch, then the
-    sampler.
+    Returns ``(Q, pivots)``. Draws from ``rng`` in that order: the sketch,
+    then the sampler.
     """
     Q = rangefinder(A, cfg.k, cfg.zeta, rng)
-    pivots, qr = rejection_rpqr(Q, rng)
-    return Q, pivots, qr
+    return Q, rejection_rpqr(Q, rng)[0]
 
 
-def build_w(A, pivots, variant, cfg, rng, basis=None):
-    """The decomposition of ``A`` on ``pivots`` with the ``variant``'s
-    interpolation matrix ``W``.
+def build_w(A, pivots, cfg, rng, basis=None):
+    """The decomposition of ``A`` on ``pivots`` with the interpolation
+    matrix ``W`` of ``cfg.variant``.
 
-    ``type1`` needs ``basis``, the ``(Q, qr)`` pair :func:`select_pivots`
-    returns with the pivots. Only ``osid`` draws from ``rng``: one embedding
-    of width ``round(cfg.oversample * cfg.k)``, padded up to a multiple of
+    ``type1`` needs ``basis``, the ``Q`` :func:`select_pivots` returns with
+    the pivots. Only ``osid`` draws from ``rng``: one embedding of width
+    ``round(cfg.oversample * cfg.k)``, padded up to a multiple of
     ``cfg.zeta``. So after one :func:`select_pivots`, building the variants
     in the order of ``VARIANTS`` gives what separate :func:`arp_decompose`
     calls with the same seed give.
 
-    The pivot rows of ``W`` are set to the identity, which they equal in
-    exact arithmetic whenever the inverted or pseudoinverted factor has full
-    numerical rank, so everywhere but after the truncated-SVD fallback.
+    Every variant is ``X @ pinv(B)`` for a ``B`` made of pivot rows: ``Q``
+    and ``Q[S, :]``, ``A`` and ``A[S, :]``, or their sketches. When ``B``
+    has full numerical rank, the pivot rows of ``W``, which then equal the
+    identity in exact arithmetic, are set to it; otherwise ``W`` comes from
+    the truncated-SVD fallback, left as computed, and ``pinv_fallback`` is
+    set.
     """
-    if variant not in VARIANTS:
-        raise InvalidParamError(f"variant must be one of {VARIANTS}")
-    fallback = False
+    variant = cfg.variant
     if variant == "type1":
         if basis is None:
-            raise InvalidParamError("type1 needs the basis and its QR")
-        W = build_type1_w(*basis)
+            raise InvalidParamError("type1 needs the basis Q")
+        W, fallback = build_type1_w(basis, pivots)
     else:
         rows = _take_rows(A, pivots.indices)
         if variant == "type2":
@@ -227,8 +222,8 @@ def arp_decompose(A, cfg, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    Q, pivots, qr = select_pivots(A, cfg, rng)
-    return build_w(A, pivots, cfg.variant, cfg, rng, basis=(Q, qr))
+    Q, pivots = select_pivots(A, cfg, rng)
+    return build_w(A, pivots, cfg, rng, basis=Q)
 
 
 def fro_norm(A):

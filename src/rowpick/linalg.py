@@ -182,9 +182,12 @@ def apply_pinv_right(A, B):
         raise RankDeficientError(
             "B is numerically row rank deficient; pseudoinverse via QR refused"
         )
-    Y = A @ Qb
-    # A B^+ = (A Q_b) R_b^{-T}; transpose to a standard triangular solve
-    return np.ascontiguousarray(sla.solve_triangular(Rb, np.asarray(Y).T, lower=False).T)
+    Y = np.asarray(A @ Qb)
+    # A B^+ = (A Q_b) R_b^{-T}; transpose to a standard triangular solve,
+    # in place in the fresh Y, whose transpose is the Fortran order LAPACK
+    # works in
+    X = sla.solve_triangular(Rb, Y.T, lower=False, overwrite_b=True)
+    return np.ascontiguousarray(X.T)
 
 
 def svd_pinv_apply(A, B):

@@ -1,7 +1,7 @@
 """Pivot selection: sequential randomly pivoted QR and the block
 rejection sampler that draws volume-sampled row subsets from an
 orthonormal basis, with the appendable Householder QR of the rows it
-chooses.
+chooses, which only the sampler reads.
 
 Both samplers own their generator stream for the duration of a call;
 independent calls with independent streams are safe to run concurrently.
@@ -141,10 +141,10 @@ class HouseholderQR:
 
     Columns are appended by :meth:`_absorb`; stored reflectors are never
     modified. The orthogonal factor ``U`` is kept implicitly as a compact
-    product ``I - V T V^T`` of Householder reflectors and is never formed.
-    The sampler reads each round's proposal residuals through
-    :meth:`_complement_t`; the ``type1`` interpolation matrix reads :attr:`R`
-    and :meth:`apply_qt`. All buffers are ``d x d``.
+    product ``I - V T V^T`` of Householder reflectors and is never formed;
+    the triangular factor is not kept, since nothing reads it. The sampler
+    reads each round's proposal residuals through :meth:`_complement_t`.
+    Both buffers are ``d x d``.
     """
 
     def __init__(self, d):
@@ -152,18 +152,6 @@ class HouseholderQR:
         self.k_cur = 0
         self._V = np.zeros((d, d))  # unit-diagonal Householder vectors
         self._T = np.zeros((d, d))  # upper-triangular WY block
-        self._Rfull = np.zeros((d, d))
-
-    @property
-    def R(self):
-        """The current k_cur x k_cur upper-triangular factor (a view)."""
-        k = self.k_cur
-        return self._Rfull[:k, :k]
-
-    def apply_qt(self, M):
-        """Return ``U^T M`` (k_cur x cols) for a ``d``-row ``M``, without
-        forming U."""
-        return self._apply_product_t(M)[: self.k_cur, :]
 
     def _apply_product_t(self, M):
         # (H_k ... H_1) M = M - V T^T (V^T M)
@@ -202,7 +190,7 @@ class HouseholderQR:
         # reflectors before position i0 + j. Halving the block recursively,
         # as LAPACK's dgeqrt3 does, turns the trailing updates and the
         # coupling of the two halves' T blocks into matrix products.
-        V, T, R = self._V, self._T, self._Rfull
+        V, T = self._V, self._T
         i = i0 + j
         a = W.shape[1]
         if a > 1:
@@ -234,9 +222,6 @@ class HouseholderQR:
         if i + 1 < self.d:  # a reflector of the last row has no tail
             np.divide(x[1:], v0, out=v[1:])
         T[i, i] = -v0 / beta
-        if i:
-            R[:i, i] = above
-        R[i, i] = beta
 
 
 def rejection_rpqr(Q, rng, _accept_bias=0.0):
@@ -258,8 +243,9 @@ def rejection_rpqr(Q, rng, _accept_bias=0.0):
     Returns
     -------
     (PivotSet, HouseholderQR)
-        The pivots in selection order, and the QR factorization of
-        ``Q^T[:, S]`` accumulated while sampling.
+        The pivots in selection order, and the sampler's internal state:
+        the reflectors of its QR of ``Q^T[:, S]``, which no other part of
+        the library reads.
     """
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     if Q.ndim != 2:

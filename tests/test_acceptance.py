@@ -39,11 +39,12 @@ def _arp_family(A, k, zeta, oversample, rng):
     Bit-identical to three ``arp_decompose`` calls sharing one seed (only
     ``osid`` draws, after the sampler), at a third of the pipeline cost.
     """
-    cfg = rp.ArpConfig(k=k, zeta=zeta, oversample=oversample)
-    Q, pivots, qr = rp.select_pivots(A, cfg, rng)
+    configs = [rp.ArpConfig(k=k, zeta=zeta, oversample=oversample, variant=v)
+               for v in rp.VARIANTS]
+    Q, pivots = rp.select_pivots(A, configs[0], rng)
     return {
-        variant: rp.build_w(A, pivots, variant, cfg, rng, basis=(Q, qr))
-        for variant in rp.VARIANTS
+        cfg.variant: rp.build_w(A, pivots, cfg, rng, basis=Q)
+        for cfg in configs
     }
 
 

@@ -44,6 +44,7 @@ class TestMethodDispatch:
         sub = dec.w[dec.pivots.indices, :]
         assert np.linalg.norm(sub - np.eye(len(dec.pivots))) <= 1e-8
         assert len(dec.pivots) == 5
+        assert dec.variant == dec.config.variant
 
     def test_rpqr_handles_sparse_input(self):
         spec = MatrixSpec.parse("sparse-decay:m=80,n=30,nnz=6,seed=2")

@@ -12,6 +12,7 @@ from rowpick import (
     DimensionMismatchError,
     InterpolativeDecomposition,
     InvalidParamError,
+    PivotSet,
     RankDeficientError,
     VARIANTS,
     arp_decompose,
@@ -204,15 +205,15 @@ class TestArpDecompose:
         configs = [ArpConfig(k=6, zeta=2, variant=v, seed=9) for v in VARIANTS]
         for cfg in configs:
             rng = np.random.default_rng(9)
-            Q, pivots, qr = select_pivots(A, cfg, rng)
-            dec = build_w(A, pivots, cfg.variant, cfg, rng, basis=(Q, qr))
+            Q, pivots = select_pivots(A, cfg, rng)
+            dec = build_w(A, pivots, cfg, rng, basis=Q)
             assert dec == arp_decompose(A, cfg)
         # only osid draws, after the sampler: one pivot draw serves all
         # three variants in the order of VARIANTS
         rng = np.random.default_rng(9)
-        Q, pivots, qr = select_pivots(A, configs[0], rng)
+        Q, pivots = select_pivots(A, configs[0], rng)
         for cfg in configs:
-            dec = build_w(A, pivots, cfg.variant, cfg, rng, basis=(Q, qr))
+            dec = build_w(A, pivots, cfg, rng, basis=Q)
             assert dec == arp_decompose(A, cfg)
 
     def test_variants_share_pivots_for_shared_seed(self):
@@ -260,13 +261,24 @@ class TestArpDecompose:
             acc += p * np.linalg.norm(A - W @ A[idx, :]) ** 2
         assert abs(acc - rhs) <= 1e-8 * rhs
 
-    def test_type1_w_from_sampler_factors(self):
+    def test_type1_w_on_sampler_pivots(self):
         rng = np.random.default_rng(8)
         Q = orth(rng.standard_normal((15, 4)))
-        pivots, qr = rejection_rpqr(Q, rng)
-        W = build_type1_w(Q, qr)
+        pivots, _ = rejection_rpqr(Q, rng)
+        W, fallback = build_type1_w(Q, pivots)
         direct = Q @ np.linalg.inv(Q[pivots.indices, :])
+        assert not fallback
         assert np.linalg.norm(W - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    def test_type1_singular_pivot_rows_fall_back(self):
+        # two equal rows of Q, pivoted on both: Q[S, :] is singular
+        Q = orth(np.random.default_rng(9).standard_normal((6, 2)))
+        Q[1] = Q[0]
+        dec = build_w(Q, PivotSet(np.array([0, 1]), 6),
+                      ArpConfig(k=2, variant="type1"), None, basis=Q)
+        assert dec.pinv_fallback
+        assert dec.w.shape == (6, 2) and np.isfinite(dec.w).all()
+        np.testing.assert_allclose(dec.w, Q @ np.linalg.pinv(Q[:2]), atol=1e-12)
 
 
 class TestPinvFallback:
@@ -412,8 +424,8 @@ class TestResidualFro:
         A[[17, 40], :] = 0.0
         A[17, 3] = A[40, 8] = 1.0
         A = sp.csc_array(A)
-        dec = build_w(A, PivotSet(np.array([17, 40]), 200), "type2",
-                      ArpConfig(k=2), None)
+        dec = build_w(A, PivotSet(np.array([17, 40]), 200),
+                      ArpConfig(k=2, variant="type2"), None)
         monkeypatch.setattr(decompose, "BLOCK_ENTRIES", 40)
         blocks = list(decompose._row_blocks(sp.csr_array(A), 10**6))
         assert (5, 6) in blocks

@@ -4,6 +4,7 @@ oracle."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rowpick import (
     DimensionMismatchError,
@@ -74,28 +75,29 @@ class TestOrth:
 
 
 class TestHouseholderQR:
-    """The block sampler's QR, through the calls the sampler and the type1
-    interpolation matrix make: ``_absorb``, ``_complement_t``, ``apply_qt``
-    and ``R``."""
+    """The block sampler's QR, through the calls the sampler makes:
+    ``_absorb``, ``_complement_t`` and ``_apply_product_t``, the transpose
+    ``U^T`` of its orthogonal factor, which triangularizes what it absorbed."""
 
     def test_empty_object(self):
         qr = HouseholderQR(5)
-        assert qr.k_cur == 0 and qr.R.shape == (0, 0)
+        assert qr.k_cur == 0
         M = np.random.default_rng(0).standard_normal((5, 3))
-        assert qr.apply_qt(M).shape == (0, 3)
+        np.testing.assert_array_equal(qr._apply_product_t(M), M)
         np.testing.assert_array_equal(qr._complement_t(M), M)
 
     def test_absorb_identity(self):
         qr = HouseholderQR(3)
         qr._absorb(np.eye(3))
         assert qr.k_cur == 3
-        np.testing.assert_allclose(np.abs(qr.R), np.eye(3), atol=1e-14)
+        R = qr._apply_product_t(np.eye(3))
+        np.testing.assert_allclose(np.abs(R), np.eye(3), atol=1e-14)
         # R^T R must match the Gram matrix of the absorbed columns
-        np.testing.assert_allclose(qr.R.T @ qr.R, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-14)
 
     def test_incremental_append_reconstructs(self):
-        # U^T [M v] = R and nothing of [M v] is left in the complement, so
-        # the absorbed columns are U R
+        # U^T [M v] is upper triangular and nothing of [M v] is left in the
+        # complement, so the absorbed columns are U R
         rng = np.random.default_rng(3)
         M = rng.standard_normal((6, 2))
         v = rng.standard_normal((6, 1))
@@ -104,9 +106,10 @@ class TestHouseholderQR:
         qr._absorb(v)
         target = np.hstack([M, v])
         scale = np.linalg.norm(target)
-        assert np.linalg.norm(qr.apply_qt(target) - qr.R) <= 1e-12 * scale
+        R = qr._apply_product_t(target)
+        assert np.linalg.norm(np.tril(R, -1)) <= 1e-12 * scale
         assert np.linalg.norm(qr._complement_t(target)) <= 1e-12 * scale
-        np.testing.assert_array_equal(qr.R, np.triu(qr.R))
+        np.testing.assert_allclose(R.T @ R, target.T @ target, atol=1e-12 * scale**2)
 
     def test_coordinate_projection(self):
         qr = HouseholderQR(3)
@@ -146,7 +149,7 @@ class TestHouseholderQR:
         qr._absorb(cols)
         qr._absorb(M[:, :1])
         qr._complement_t(M)
-        qr.apply_qt(M)
+        qr._apply_product_t(M)
         np.testing.assert_array_equal(M, before)
         np.testing.assert_array_equal(cols, cols_before)
 
@@ -164,11 +167,9 @@ class TestHouseholderQR:
         qr._absorb(rng.standard_normal((7, 2)))
         v_before = qr._V[:, :2].copy()
         t_before = qr._T[:2, :2].copy()
-        r_before = qr.R[:2, :2].copy()
         qr._absorb(rng.standard_normal((7, 3)))
         np.testing.assert_array_equal(qr._V[:, :2], v_before)
         np.testing.assert_array_equal(qr._T[:2, :2], t_before)
-        np.testing.assert_array_equal(qr.R[:2, :2], r_before)
 
     def test_apply_q_qt_roundtrip(self):
         # U^T X on top of the complement coordinates P^T X is [U P]^T X,
@@ -177,7 +178,7 @@ class TestHouseholderQR:
         qr = HouseholderQR(10)
         qr._absorb(rng.standard_normal((10, 4)))
         X = rng.standard_normal((10, 3))
-        Y = np.vstack([qr.apply_qt(X), qr._complement_t(X)])
+        Y = np.vstack([qr._apply_product_t(X)[:4], qr._complement_t(X)])
         np.testing.assert_allclose(Y.T @ Y, X.T @ X, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -190,8 +191,9 @@ class TestHouseholderQR:
         onebyone = HouseholderQR(12)
         for j in range(5):
             onebyone._absorb(M[:, j: j + 1])
-        np.testing.assert_allclose(block.R, onebyone.R, atol=1e-12)
-        np.testing.assert_allclose(block.apply_qt(X), onebyone.apply_qt(X), atol=1e-12)
+        for Y in (M, X):
+            np.testing.assert_allclose(
+                block._apply_product_t(Y), onebyone._apply_product_t(Y), atol=1e-12)
         np.testing.assert_allclose(
             block._complement_t(X).T @ block._complement_t(X),
             onebyone._complement_t(X).T @ onebyone._complement_t(X), atol=1e-12
@@ -223,6 +225,21 @@ class TestApplyPinvRight:
         got = apply_pinv_right(A, B)
         oracle = A @ np.linalg.pinv(B)  # SVD-based, independent path
         assert np.linalg.norm(got - oracle) <= 1e-10 * max(np.linalg.norm(oracle), 1.0)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_inputs_unchanged_result_row_major(self, sparse):
+        # the triangular solve overwrites its right-hand side in place,
+        # which must be the product A Q_b and never A or B
+        rng = np.random.default_rng(9)
+        B = rng.standard_normal((3, 7))
+        A = rng.standard_normal((12, 7))
+        A_in = sp.csr_array(A) if sparse else A
+        A_before, B_before = A.copy(), B.copy()
+        got = apply_pinv_right(A_in, B)
+        np.testing.assert_array_equal(B, B_before)
+        np.testing.assert_array_equal(A_in.toarray() if sparse else A_in, A_before)
+        assert got.flags.c_contiguous and got.shape == (12, 3)
+        np.testing.assert_allclose(got, A @ np.linalg.pinv(B), atol=1e-12)
 
     def test_rank_deficient_rejected(self):
         B = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])

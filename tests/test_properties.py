@@ -1,0 +1,105 @@
+"""Property tests of the ARP pipeline over generated small inputs: every
+shape up to 8 x 8, every valid k, zeta in {1, 2, 4, 8}, dense and sparse
+input, full rank or not, with zero entries, rows and columns.
+
+Each generated case runs all three variants on the dense matrix and on its
+CSC copy from the same seed. The examples are derandomized, so the suite
+is deterministic.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rowpick import VARIANTS, ArpConfig, RowpickError, arp_decompose, fro_norm, residual_fro
+
+PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None,
+                             database=None)
+
+
+@st.composite
+def cases(draw, exponents=(0, -600, 600)):
+    """``(A, k, zeta, seed)``: ``A`` is a product of Gaussian factors of a
+    drawn inner rank, masked entrywise to a drawn density and scaled by
+    ``2**e`` for an ``e`` drawn from ``exponents``."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(m, n)))
+    zeta = draw(st.sampled_from([1, 2, 4, 8]))
+    rank = draw(st.integers(1, min(m, n)))
+    density = draw(st.sampled_from([1.0, 0.6, 0.3]))
+    scale = draw(st.sampled_from(exponents))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    A *= rng.random((m, n)) < density
+    return np.ldexp(A, scale), k, zeta, seed
+
+
+def _decompose(A, k, zeta, seed):
+    """``{variant: decomposition}``, or the ``RowpickError`` the first
+    variant raised; the variants share the pivot phase, so they all fail
+    or none does."""
+    out = {}
+    for variant in VARIANTS:
+        try:
+            out[variant] = arp_decompose(
+                A, ArpConfig(k=k, zeta=zeta, variant=variant, seed=seed))
+        except RowpickError as exc:
+            return exc
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_sparse_and_dense_input_agree(case):
+    A, k, zeta, seed = case
+    dense = _decompose(A, k, zeta, seed)
+    sparse = _decompose(sp.csc_array(A), k, zeta, seed)
+    if isinstance(dense, RowpickError):
+        assert type(sparse) is type(dense)
+        return
+    for variant in VARIANTS:
+        d, s = dense[variant], sparse[variant]
+        assert d.pivots == s.pivots
+        assert d.pinv_fallback == s.pinv_fallback
+        if variant == "type2":
+            scale = max(np.linalg.norm(d.w), 1.0)
+            assert np.linalg.norm(d.w - s.w) <= 1e-12 * scale
+        else:
+            assert d.w.tobytes() == s.w.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_residual_finite_and_type2_not_worse(case):
+    A, k, zeta, seed = case
+    for A_in in (A, sp.csc_array(A)):
+        decs = _decompose(A_in, k, zeta, seed)
+        if isinstance(decs, RowpickError):
+            continue
+        res = {v: residual_fro(A_in, dec) for v, dec in decs.items()}
+        assert all(np.isfinite(r) for r in res.values())
+        for dec in decs.values():
+            r = len(dec.pivots)
+            assert 1 <= r <= k and dec.w.shape == (A.shape[0], r)
+            if not dec.pinv_fallback:
+                assert np.array_equal(dec.w[dec.pivots.indices], np.eye(r))
+        assert res["type2"] <= res["type1"] + 1e-12 * fro_norm(A)
+
+
+@PROPERTY_SETTINGS
+@given(cases(exponents=(0,)), st.sampled_from([-600, 600]))
+def test_pivots_invariant_under_power_of_two_scaling(case, j):
+    A, k, zeta, seed = case
+    cfg = ArpConfig(k=k, zeta=zeta, seed=seed)
+    for A_in in (A, sp.csc_array(A)):
+        try:
+            ref = arp_decompose(A_in, cfg)
+        except RowpickError as exc:
+            with pytest.raises(type(exc)):
+                arp_decompose(A_in * 2.0**j, cfg)
+            continue
+        assert arp_decompose(A_in * 2.0**j, cfg).pivots == ref.pivots

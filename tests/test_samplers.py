@@ -279,15 +279,16 @@ class TestRejectionRpqr:
         np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_output_qr_consistency(self):
-        # the returned QR factors the chosen rows: U^T Q^T[:, S] = R
+        # the returned QR factors the chosen rows: U^T Q^T[:, S] is upper
+        # triangular and keeps their Gram
         rng = np.random.default_rng(6)
         Q = orth(rng.standard_normal((12, 4)))
         pivots, qr = rejection_rpqr(Q, rng)
         target = Q[pivots.indices, :].T
         assert qr.k_cur == 4
-        got = qr.apply_qt(target)
-        assert np.linalg.norm(got - qr.R) <= 1e-12 * np.linalg.norm(target)
-        np.testing.assert_array_equal(qr.R, np.triu(qr.R))
+        R = qr._apply_product_t(target)
+        assert np.linalg.norm(np.tril(R, -1)) <= 1e-12 * np.linalg.norm(target)
+        np.testing.assert_allclose(R.T @ R, target.T @ target, atol=1e-12)
 
     def test_max_rounds_cap(self, monkeypatch):
         # with no rounds allowed, no pivot can be drawn
