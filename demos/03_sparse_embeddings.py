@@ -10,24 +10,24 @@ import numpy as np
 import rowpick as rp
 
 rng = np.random.default_rng(3)
-emb = rp.sparse_sign_embedding(n=8, k=8, zeta=2, rng=rng)
-omega = rp.materialize(emb).toarray()
+k, zeta = 8, 2
+omega = rp.sparse_sign_embedding(n=8, k=k, zeta=zeta, rng=rng)
 
-print(f"n={emb.n}, k={emb.k}, zeta={emb.zeta}, block width b={emb.b}")
+print(f"omega: {omega.shape[0]} x {omega.shape[1]} sparse, zeta={zeta}, "
+      f"block width b={k // zeta}, {omega.nnz} stored entries")
 print("signs of the embedding (0 = empty):\n")
-print(np.array2string(
-    (np.sign(omega) * (omega != 0)).astype(int), separator=" "
-))
-print(f"\nnonzeros per row: {np.unique(np.sum(omega != 0, axis=1))}")
-print(f"row norms:        {np.unique(np.sum(omega * omega, axis=1))}")
+dense = omega.toarray()
+print(np.array2string(np.sign(dense).astype(int), separator=" "))
+print(f"\nnonzeros per row: {np.unique(np.sum(dense != 0, axis=1))}")
+print(f"row norms:        {np.unique(np.sum(dense * dense, axis=1))}")
 
 # sketch_apply is one sparse product against the matrix above, summed in
 # the library's canonical order (ascending input row); it agrees with a
 # dense BLAS product to roundoff
 A = rng.standard_normal((5, 8))
-sketch = rp.sketch_apply(A, emb)
-print(f"\nmax |sketch_apply(A) - A @ materialize(emb)| = "
-      f"{np.max(np.abs(sketch - A @ omega)):.2e}")
+sketch = rp.sketch_apply(A, omega)
+print(f"\nmax |sketch_apply(A, omega) - A @ omega| = "
+      f"{np.max(np.abs(sketch - A @ dense)):.2e}")
 
 # sketch quality: a width-k sketch of a decaying 200x200 matrix captures
 # its range nearly as well as the exact rank-k truncation

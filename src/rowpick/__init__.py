@@ -12,7 +12,6 @@ supposed to satisfy.
 from .bench import (
     METHOD_ORDER,
     BenchmarkRecord,
-    read_records_csv,
     run_bench,
     run_method,
     summarize_records,
@@ -73,8 +72,6 @@ from .samplers import (
     rpqr_sequential,
 )
 from .sketch import (
-    SparseSignEmbedding,
-    materialize,
     sketch_apply,
     sparse_sign_embedding,
 )
@@ -102,7 +99,6 @@ __all__ = [
     "RankDeficientError",
     "RankDeficientUpdateError",
     "RowpickError",
-    "SparseSignEmbedding",
     "SubsetDistribution",
     "TooLargeError",
     "VARIANTS",
@@ -119,11 +115,9 @@ __all__ = [
     "gen_decay_sparse",
     "gen_kernel",
     "load_geo_series_matrix",
-    "materialize",
     "optimality_instance",
     "orth",
     "rangefinder",
-    "read_records_csv",
     "rejection_rpqr",
     "residual_fro",
     "rpqr_sequential",

@@ -44,8 +44,6 @@ METHOD_ALIASES = {"OptARP": "ProjARP"}
 _VARIANTS = {"ARP": "type1", "ProjARP": "type2", "SkARP": "osid",
              "SkQR": "osid", "RPQR": "type2"}
 
-CSV_HEADER = "method,matrix,m,n,k,seed,rel_fro_error,wall_time_s,effective_rank"
-
 
 @dataclass(frozen=True)
 class BenchmarkRecord:
@@ -65,6 +63,9 @@ class BenchmarkRecord:
     @property
     def ok(self):
         return not np.isnan(self.rel_fro_error)
+
+
+CSV_HEADER = tuple(f.name for f in fields(BenchmarkRecord))
 
 
 def canonical_method(name):
@@ -180,32 +181,9 @@ def write_records_csv(records, path):
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
+        writer.writerow(CSV_HEADER)
         for rec in records:
-            writer.writerow([
-                _format_field(getattr(rec, f.name))
-                for f in fields(BenchmarkRecord)
-            ])
-
-
-def read_records_csv(path):
-    """Parse a CSV written by :func:`write_records_csv`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER.split(","):
-            raise InvalidParamError(f"unexpected CSV header {header!r}")
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            (method, matrix, m, n, k, seed, rel, wall, rank) = row
-            records.append(BenchmarkRecord(
-                method=method, matrix=matrix, m=int(m), n=int(n), k=int(k),
-                seed=int(seed), rel_fro_error=float(rel),
-                wall_time_s=float(wall), effective_rank=int(rank),
-            ))
-    return records
+            writer.writerow([_format_field(getattr(rec, name)) for name in CSV_HEADER])
 
 
 def summarize_records(records):

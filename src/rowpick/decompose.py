@@ -11,8 +11,8 @@ Variants
     ``W = A @ pinv(A[S, :])``; the row-span-optimal projection, never worse
     than type1 in Frobenius norm for the same pivots.
 ``osid``
-    ``W = (A @ Phi) @ pinv(A[S, :] @ Phi)`` for a fresh oversampled sketch
-    ``Phi``; a fast approximation to type2.
+    ``W = Y @ pinv(Y[S, :])`` for the sketch ``Y = A @ Phi`` by a fresh
+    oversampled embedding ``Phi``; a fast approximation to type2.
 """
 
 import math
@@ -75,30 +75,37 @@ class InterpolativeDecomposition:
     """A row interpolative decomposition ``A ~= W @ A[S, :]``.
 
     In the decompositions this library builds, ``w[S, :]`` is exactly the
-    identity unless ``pinv_fallback`` is set. ``effective_rank`` is the
-    number of pivots actually produced, which drops below ``config.k`` when
-    the rangefinder detects lower numerical rank. ``pinv_fallback`` flags
-    that the factor ``W`` inverts or pseudoinverts (``Q[S, :]`` for
-    ``type1``, ``A[S, :]`` or its sketch for the others) was numerically
-    rank deficient, so its pseudoinverse came from a truncated SVD and the
-    pivot rows of ``w`` are left as computed.
+    identity unless ``pinv_fallback`` is set. ``variant`` is
+    ``config.variant``. ``effective_rank`` is the number of pivots actually
+    produced, which drops below ``config.k`` when the rangefinder detects
+    lower numerical rank. ``pinv_fallback`` flags that the factor ``W``
+    inverts or pseudoinverts (``Q[S, :]`` for ``type1``, ``A[S, :]`` or its
+    sketch for the others) was numerically rank deficient, so its
+    pseudoinverse came from a truncated SVD and the pivot rows of ``w`` are
+    left as computed.
 
     Two decompositions are equal, and hash alike, when their pivots,
-    variant, rank, config and fallback flag are equal and ``w`` has the
-    same shape and the same bytes.
+    config and fallback flag are equal and ``w`` has the same shape and the
+    same bytes.
     """
 
     pivots: PivotSet
     w: np.ndarray
-    variant: str
-    effective_rank: int
     config: ArpConfig
     pinv_fallback: bool = False
 
+    @property
+    def variant(self):
+        return self.config.variant
+
+    @property
+    def effective_rank(self):
+        return len(self.pivots)
+
     def _key(self):
         w = np.asarray(self.w)
-        return (self.pivots, w.shape, w.tobytes(), self.variant,
-                self.effective_rank, self.config, self.pinv_fallback)
+        return (self.pivots, w.shape, w.tobytes(), self.config,
+                self.pinv_fallback)
 
     def __eq__(self, other):
         if not isinstance(other, InterpolativeDecomposition):
@@ -183,32 +190,27 @@ def build_w(A, pivots, cfg, rng, basis=None):
     in the order of ``VARIANTS`` gives what separate :func:`arp_decompose`
     calls with the same seed give.
 
-    Every variant is ``X @ pinv(B)`` for a ``B`` made of pivot rows: ``Q``
-    and ``Q[S, :]``, ``A`` and ``A[S, :]``, or their sketches. When ``B``
-    has full numerical rank, the pivot rows of ``W``, which then equal the
+    Every variant is ``X @ pinv(X[S, :])``, with ``X`` the basis ``Q``,
+    ``A`` itself, or the sketch ``A @ Phi``. When ``X[S, :]`` has full
+    numerical rank, the pivot rows of ``W``, which then equal the
     identity in exact arithmetic, are set to it; otherwise ``W`` comes from
     the truncated-SVD fallback, left as computed, and ``pinv_fallback`` is
     set.
     """
-    variant = cfg.variant
-    if variant == "type1":
+    if cfg.variant == "type1":
         if basis is None:
             raise InvalidParamError("type1 needs the basis Q")
         W, fallback = build_type1_w(basis, pivots)
     else:
-        rows = _take_rows(A, pivots.indices)
-        if variant == "type2":
-            W, fallback = _pinv_apply(A, rows)
-        else:
+        X = A
+        if cfg.variant == "osid":
             width = _round_up_multiple(int(round(cfg.oversample * cfg.k)), cfg.zeta)
-            phi = sparse_sign_embedding(A.shape[1], width, cfg.zeta, rng)
-            W, fallback = _pinv_apply(sketch_apply(A, phi), sketch_apply(rows, phi))
+            X = sketch_apply(A, sparse_sign_embedding(A.shape[1], width, cfg.zeta, rng))
+        W, fallback = _pinv_apply(X, _take_rows(X, pivots.indices))
     if not fallback:
         W[pivots.indices, :] = np.eye(len(pivots))
     return InterpolativeDecomposition(
-        pivots=pivots, w=W, variant=variant, effective_rank=len(pivots),
-        config=cfg, pinv_fallback=fallback,
-    )
+        pivots=pivots, w=W, config=cfg, pinv_fallback=fallback)
 
 
 def arp_decompose(A, cfg, rng=None):

@@ -21,7 +21,7 @@ from .oracle import (
     expected_type1_error,
 )
 from .samplers import rejection_rpqr, rpqr_sequential
-from .sketch import materialize, sketch_apply, sparse_sign_embedding
+from .sketch import sketch_apply, sparse_sign_embedding
 
 SAMPLER_DRAWS = 30000
 
@@ -224,15 +224,15 @@ def run_verify(seed=0, corrupt=False, stream=None, draws=SAMPLER_DRAWS):
             n = int(rng.integers(2, 40))
             zeta = int(rng.integers(1, 5))
             k = zeta * int(rng.integers(1, 6))
-            emb = sparse_sign_embedding(n, k, zeta, rng)
-            dense = materialize(emb).toarray()
+            omega = sparse_sign_embedding(n, k, zeta, rng)
+            dense = omega.toarray()
             if not np.all(np.sum(dense != 0, axis=1) == zeta):
                 return False, "nonzero count per row"
             if not np.allclose(np.sum(dense * dense, axis=1), 1.0, atol=1e-12):
                 return False, "row norms"
             A = rng.standard_normal((int(rng.integers(1, 8)), n))
-            got = sketch_apply(A, emb)
-            explicit = _canonical_product(A, materialize(emb))
+            got = sketch_apply(A, omega)
+            explicit = _canonical_product(A, omega)
             if got.tobytes() != explicit.tobytes():
                 return False, "sketch_apply drifted from the canonical product"
         return True, "20 seeded embeddings"

@@ -1,9 +1,11 @@
 """Benchmark harness tests: method dispatch, record invariants, CSV/JSON
 round trips, the per-row error ordering, and failure handling."""
 
+import csv
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from rowpick import (
     MatrixSpec,
     fro_norm,
     gen_decay_sparse,
-    read_records_csv,
     residual_fro,
     run_bench,
     run_method,
@@ -27,6 +28,18 @@ from rowpick.bench import _cell_rng, canonical_method
 
 
 SPEC = MatrixSpec.parse("dense-decay:m=60,n=40,seed=0")
+
+
+def read_csv(path):
+    """The records of a CSV written by ``write_records_csv``, each field
+    parsed back to its declared type."""
+    types = {f.name: f.type for f in fields(BenchmarkRecord)}
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == list(types)
+        return [BenchmarkRecord(**{name: types[name](value)
+                                   for name, value in row.items()})
+                for row in reader]
 
 
 class TestMethodDispatch:
@@ -130,7 +143,7 @@ class TestRunBench:
         records = run_bench(
             SPEC, ["SkARP"], [3], seeds=range(2), out_path=str(out), zeta=2
         )
-        parsed = read_records_csv(str(out) + ".csv")
+        parsed = read_csv(str(out) + ".csv")
         assert parsed == records
 
     def test_csv_bytes_stable(self, tmp_path):
@@ -165,7 +178,7 @@ class TestRunBench:
         records = run_bench(SPEC, ["ARP"], [45], seeds=[0], zeta=2)
         path = tmp_path / "fail.csv"
         write_records_csv(records, path)
-        parsed = read_records_csv(path)
+        parsed = read_csv(path)
         assert math.isnan(parsed[0].rel_fro_error)
         assert parsed[0].effective_rank == 0
 

@@ -156,11 +156,10 @@ class TestArpDecompose:
         other_w = a.w.copy()
         other_w[0, 0] += 1.0
         changed = [
-            InterpolativeDecomposition(a.pivots, other_w, a.variant, 4, cfg),
-            InterpolativeDecomposition(a.pivots, a.w, "type2", 4, cfg),
-            InterpolativeDecomposition(a.pivots, a.w, a.variant, 3, cfg),
-            InterpolativeDecomposition(a.pivots, a.w, a.variant, 4, ArpConfig(k=4, seed=8)),
-            InterpolativeDecomposition(a.pivots, a.w, a.variant, 4, cfg, True),
+            InterpolativeDecomposition(a.pivots, other_w, cfg),
+            InterpolativeDecomposition(a.pivots, a.w, ArpConfig(k=4, seed=7, variant="type2")),
+            InterpolativeDecomposition(a.pivots, a.w, ArpConfig(k=4, seed=8)),
+            InterpolativeDecomposition(a.pivots, a.w, cfg, True),
             arp_decompose(A, ArpConfig(k=4, seed=8)),
         ]
         for c in changed:
@@ -315,9 +314,7 @@ class TestResidualFro:
         dec = InterpolativeDecomposition(
             pivots=PivotSet(np.array([0, 1]), 10),
             w=np.zeros((10, 2)),
-            variant="type2",
-            effective_rank=2,
-            config=ArpConfig(k=2),
+            config=ArpConfig(k=2, variant="type2"),
         )
         assert residual_fro(A, dec) == pytest.approx(np.linalg.norm(A), rel=1e-14)
 
@@ -379,9 +376,7 @@ class TestResidualFro:
         dec = InterpolativeDecomposition(
             pivots=PivotSet(np.array([2, 9]), 30),
             w=np.random.default_rng(7).standard_normal((30, 2)),
-            variant="type2",
-            effective_rank=2,
-            config=ArpConfig(k=2),
+            config=ArpConfig(k=2, variant="type2"),
         )
         assert self._support(A, dec) == 0
         got = residual_fro(A, dec, block_rows=block_rows)
@@ -472,9 +467,7 @@ class TestResidualFro:
         dec = InterpolativeDecomposition(
             pivots=PivotSet(np.array([0]), 5),
             w=np.zeros((5, 1)),
-            variant="type1",
-            effective_rank=1,
-            config=ArpConfig(k=1),
+            config=ArpConfig(k=1, variant="type1"),
         )
         with pytest.raises(DimensionMismatchError):
             residual_fro(np.zeros((6, 3)), dec)
@@ -506,9 +499,7 @@ class TestFroNorm:
         dec = InterpolativeDecomposition(
             pivots=PivotSet([0], 2),
             w=np.zeros((2, 1)),
-            variant="type2",
-            effective_rank=1,
-            config=ArpConfig(k=1),
+            config=ArpConfig(k=1, variant="type2"),
         )
         assert residual_fro(A, dec) == np.inf
 

@@ -1,5 +1,5 @@
 """Sparse sign embedding tests: structure, determinism, and exact agreement
-between sketch_apply and the materialized product in canonical order."""
+between sketch_apply and the product in canonical order."""
 
 import numpy as np
 import pytest
@@ -8,32 +8,43 @@ import scipy.sparse as sp
 from rowpick import (
     DimensionMismatchError,
     InvalidSparsityError,
-    materialize,
     sketch_apply,
     sparse_sign_embedding,
 )
 from rowpick.verify import _canonical_product
 
 
+def assert_one_per_block(omega, zeta, b):
+    """Row ``i``'s ``j``-th nonzero lies in block ``j`` of width ``b``."""
+    rows = sp.csr_array(omega)
+    rows.sort_indices()
+    assert np.all(np.diff(rows.indptr) == zeta)
+    blocks = rows.indices.reshape(-1, zeta) // b
+    np.testing.assert_array_equal(blocks, np.tile(np.arange(zeta), (omega.shape[0], 1)))
+
+
+def assert_row_subset_bitwise(A, omega, S):
+    """The rows ``S`` of the sketch of ``A`` are the sketch of ``A[S, :]``."""
+    assert sketch_apply(A, omega)[S].tobytes() == sketch_apply(A[S, :], omega).tobytes()
+
+
 class TestConstruction:
     def test_countsketch_like_row(self):
-        emb = sparse_sign_embedding(4, 4, 1, np.random.default_rng(0))
-        dense = materialize(emb).toarray()
+        dense = sparse_sign_embedding(4, 4, 1, np.random.default_rng(0)).toarray()
         assert dense.shape == (4, 4)
         assert np.all(np.sum(dense != 0, axis=1) == 1)
         nz = dense[dense != 0]
         assert set(np.unique(nz)) <= {-1.0, 1.0}
 
     def test_full_sparsity_is_dense_rows(self):
-        emb = sparse_sign_embedding(3, 4, 4, np.random.default_rng(1))
-        assert emb.b == 1
-        dense = materialize(emb).toarray()
+        omega = sparse_sign_embedding(3, 4, 4, np.random.default_rng(1))
+        assert_one_per_block(omega, 4, 1)
+        dense = omega.toarray()
         assert np.all(dense != 0)
         assert set(np.unique(np.abs(dense))) == {0.5}
 
     def test_structure_of_generic_embedding(self):
-        emb = sparse_sign_embedding(100, 20, 4, np.random.default_rng(2))
-        dense = materialize(emb).toarray()
+        dense = sparse_sign_embedding(100, 20, 4, np.random.default_rng(2)).toarray()
         assert np.all(np.sum(dense != 0, axis=1) == 4)
         # one nonzero in each contiguous width-5 block
         for blk in range(4):
@@ -41,8 +52,9 @@ class TestConstruction:
         np.testing.assert_allclose(np.sum(dense * dense, axis=1), 1.0, atol=1e-14)
 
     def test_nnz_count(self):
-        emb = sparse_sign_embedding(37, 12, 3, np.random.default_rng(3))
-        assert materialize(emb).nnz == 37 * 3
+        omega = sparse_sign_embedding(37, 12, 3, np.random.default_rng(3))
+        assert omega.nnz == 37 * 3
+        assert omega.format == "csc" and omega.has_canonical_format
 
     def test_invalid_sparsity(self):
         rng = np.random.default_rng(0)
@@ -54,58 +66,55 @@ class TestConstruction:
     def test_determinism_from_seed(self):
         a = sparse_sign_embedding(50, 12, 4, np.random.default_rng(123))
         b = sparse_sign_embedding(50, 12, 4, np.random.default_rng(123))
-        np.testing.assert_array_equal(a.signs, b.signs)
-        np.testing.assert_array_equal(a.block_indices, b.block_indices)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
 
     def test_block_column_membership(self):
-        emb = sparse_sign_embedding(30, 12, 4, np.random.default_rng(9))
-        omega = materialize(emb)
-        coo = omega.tocoo()
-        for i, c in zip(coo.row, coo.col):
-            blk, local = divmod(c, emb.b)
-            assert emb.block_indices[i, blk] == local
+        omega = sparse_sign_embedding(30, 12, 4, np.random.default_rng(9))
+        assert_one_per_block(omega, 4, 3)
 
 
 class TestApply:
     def test_zero_matrix(self):
-        emb = sparse_sign_embedding(6, 4, 2, np.random.default_rng(0))
-        out = sketch_apply(np.zeros((3, 6)), emb)
+        omega = sparse_sign_embedding(6, 4, 2, np.random.default_rng(0))
+        out = sketch_apply(np.zeros((3, 6)), omega)
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
     def test_identity_matrix_densifies(self):
-        emb = sparse_sign_embedding(6, 4, 2, np.random.default_rng(1))
-        out = sketch_apply(np.eye(6), emb)
-        np.testing.assert_array_equal(out, materialize(emb).toarray())
+        omega = sparse_sign_embedding(6, 4, 2, np.random.default_rng(1))
+        out = sketch_apply(np.eye(6), omega)
+        np.testing.assert_array_equal(out, omega.toarray())
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_bitwise_matches_materialized(self, seed):
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((10, 30))
-        emb = sparse_sign_embedding(30, 6, 2, rng)
-        implicit = sketch_apply(A, emb)
-        explicit = _canonical_product(A, materialize(emb))
+        omega = sparse_sign_embedding(30, 6, 2, rng)
+        implicit = sketch_apply(A, omega)
+        explicit = _canonical_product(A, omega)
         assert implicit.tobytes() == explicit.tobytes()
+        assert_row_subset_bitwise(A, omega, [7, 2, 9])
 
     def test_dense_close_to_scipy_matmul(self):
         rng = np.random.default_rng(10)
         A = rng.standard_normal((20, 50))
-        emb = sparse_sign_embedding(50, 8, 4, rng)
-        lhs = sketch_apply(A, emb)
-        rhs = A @ materialize(emb).toarray()
+        omega = sparse_sign_embedding(50, 8, 4, rng)
+        lhs = sketch_apply(A, omega)
+        rhs = A @ omega.toarray()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
     def test_single_entry_propagation(self):
-        emb = sparse_sign_embedding(7, 6, 3, np.random.default_rng(4))
+        omega = sparse_sign_embedding(7, 6, 3, np.random.default_rng(4))
         A = sp.csc_array(([2.5], ([1], [3])), shape=(4, 7))
-        out = sketch_apply(A, emb)
+        out = sketch_apply(A, omega)
         expected = np.zeros((4, 6))
-        expected[1, :] = 2.5 * materialize(emb).toarray()[3, :]
+        expected[1, :] = 2.5 * omega.toarray()[3, :]
         np.testing.assert_array_equal(out, expected)
 
     def test_sparse_identity(self):
-        emb = sparse_sign_embedding(5, 4, 2, np.random.default_rng(5))
-        out = sketch_apply(sp.eye_array(5, format="csc"), emb)
-        np.testing.assert_array_equal(out, materialize(emb).toarray())
+        omega = sparse_sign_embedding(5, 4, 2, np.random.default_rng(5))
+        out = sketch_apply(sp.eye_array(5, format="csc"), omega)
+        np.testing.assert_array_equal(out, omega.toarray())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sparse_bitwise_matches_dense_path(self, seed):
@@ -114,20 +123,21 @@ class TestApply:
             (200, 100), density=0.01, format="csc", rng=rng,
             data_sampler=lambda size: rng.standard_normal(size),
         )
-        emb = sparse_sign_embedding(100, 12, 4, rng)
-        sparse_out = sketch_apply(A, emb)
-        dense_out = sketch_apply(A.toarray(), emb)
+        omega = sparse_sign_embedding(100, 12, 4, rng)
+        sparse_out = sketch_apply(A, omega)
+        dense_out = sketch_apply(A.toarray(), omega)
         assert sparse_out.tobytes() == dense_out.tobytes()
+        assert_row_subset_bitwise(A, omega, [150, 3, 77, 4])
 
     def test_dispatch(self):
         # every sparse format gives the bits of the dense path
         rng = np.random.default_rng(6)
-        emb = sparse_sign_embedding(8, 4, 2, rng)
+        omega = sparse_sign_embedding(8, 4, 2, rng)
         A = rng.standard_normal((3, 8)) * (rng.random((3, 8)) < 0.5)
-        dense_out = sketch_apply(A, emb)
+        dense_out = sketch_apply(A, omega)
         for S in (sp.csc_array(A), sp.csr_array(A), sp.coo_array(A),
                   sp.csr_matrix(A)):
-            assert sketch_apply(S, emb).tobytes() == dense_out.tobytes()
+            assert sketch_apply(S, omega).tobytes() == dense_out.tobytes()
 
     def test_sparse_duplicates_summed(self):
         # two stored entries at (0, 1) mean their sum, as in the dense copy
@@ -136,19 +146,20 @@ class TestApply:
             shape=(2, 3),
         )
         assert not A.has_canonical_format
-        emb = sparse_sign_embedding(3, 2, 1, np.random.default_rng(0))
-        got = sketch_apply(A, emb)
-        assert got.tobytes() == sketch_apply(A.toarray(), emb).tobytes()
+        omega = sparse_sign_embedding(3, 2, 1, np.random.default_rng(0))
+        got = sketch_apply(A, omega)
+        assert got.tobytes() == sketch_apply(A.toarray(), omega).tobytes()
+        assert_row_subset_bitwise(A, omega, [1, 0])
         assert A.data.tolist() == [1.0, 2.0, 5.0]  # the caller's copy is kept
 
     def test_shape_mismatch(self):
-        emb = sparse_sign_embedding(8, 4, 2, np.random.default_rng(7))
+        omega = sparse_sign_embedding(8, 4, 2, np.random.default_rng(7))
         with pytest.raises(DimensionMismatchError):
-            sketch_apply(np.zeros((3, 9)), emb)
+            sketch_apply(np.zeros((3, 9)), omega)
         with pytest.raises(DimensionMismatchError):
-            sketch_apply(sp.csc_array((3, 9)), emb)
+            sketch_apply(sp.csc_array((3, 9)), omega)
         with pytest.raises(DimensionMismatchError):
-            sketch_apply(np.zeros(8), emb)
+            sketch_apply(np.zeros(8), omega)
 
 
 class TestStatisticalIsotropy:
@@ -157,9 +168,7 @@ class TestStatisticalIsotropy:
         n, k, zeta, seeds = 10, 8, 4, 2000
         acc = np.zeros((n, n))
         for seed in range(seeds):
-            omega = materialize(
-                sparse_sign_embedding(n, k, zeta, np.random.default_rng(seed))
-            ).toarray()
+            omega = sparse_sign_embedding(n, k, zeta, np.random.default_rng(seed)).toarray()
             acc += omega @ omega.T
         acc /= seeds
         assert np.max(np.abs(acc - np.eye(n))) < 0.1
