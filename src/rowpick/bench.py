@@ -16,12 +16,19 @@ Reproducibility: every (k, trial-seed) cell derives its own generator from
 ``SeedSequence((trial_seed, k))``. The method name is deliberately not part
 of the key so the three ARP variants of a trial share one pivot set, which
 makes the ProjARP-versus-ARP error ordering deterministic per row.
+
+:func:`run_bench` runs that pivot selection (sketch, ``orth``, sampler) once
+per cell for every requested ARP-family method, then builds each family
+``W`` in turn, the same bits three :func:`run_method` calls give. A family
+record's ``wall_time_s`` is the shared selection plus its own ``W``, what
+a standalone :func:`run_method` call takes; a failed selection fails every
+family record of the cell. Duplicate and aliased method names are merged.
 """
 
 import csv
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,6 +40,7 @@ from .decompose import (
     build_w,
     fro_norm,
     residual_fro,
+    select_pivots,
 )
 from .errors import InvalidParamError, RowpickError
 from .samplers import PivotSet, rpqr_sequential
@@ -43,6 +51,10 @@ METHOD_ALIASES = {"OptARP": "ProjARP"}
 # the W each method builds; the first three share the ARP pivots
 _VARIANTS = {"ARP": "type1", "ProjARP": "type2", "SkARP": "osid",
              "SkQR": "osid", "RPQR": "type2"}
+# the ARP family, in the VARIANTS order its W are built from one selection
+_FAMILY = ("ARP", "ProjARP", "SkARP")
+# what a failed cell raises; it is recorded, not propagated
+_FAILURES = (RowpickError, np.linalg.LinAlgError, MemoryError)
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,7 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0):
         raise InvalidParamError(f"need 1 <= k <= min{A.shape}, got {k}")
     cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample,
                     variant=_VARIANTS[method])
-    if method in ("ARP", "ProjARP", "SkARP"):
+    if method in _FAMILY:
         return arp_decompose(A, cfg, rng)
     if method == "SkQR":
         emb = sparse_sign_embedding(n, _round_up_multiple(k, zeta), zeta, rng)
@@ -107,10 +119,55 @@ def _cell_rng(seed, k):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(k))))
 
 
+def _run_cell(A, methods, k, seed, zeta, oversample, measure):
+    """Run every method of one (k, seed) cell, each from ``_cell_rng``.
+
+    Returns ``{method: (measure(dec), seconds)}`` with ``dec`` None for a
+    method that failed. The requested ARP-family methods share one
+    :func:`select_pivots`; each of their ``seconds`` is that selection
+    plus the method's own :func:`build_w`. ``measure`` runs outside the
+    timing, and each decomposition is dropped before the next is built.
+    """
+    out = {}
+
+    def timed(method, build, shared=0.0):
+        t0 = time.perf_counter()
+        try:
+            dec = build()
+        except _FAILURES:
+            dec = None
+        seconds = shared + time.perf_counter() - t0
+        out[method] = (measure(dec), seconds)
+
+    # the baselines first, so that the family's basis is not alive under them
+    for method in methods:
+        if method not in _FAMILY:
+            timed(method, lambda: run_method(method, A, k, _cell_rng(seed, k),
+                                             zeta=zeta, oversample=oversample))
+    family = [method for method in _FAMILY if method in methods]
+    if not family:
+        return out
+    rng = _cell_rng(seed, k)
+    t0 = time.perf_counter()
+    try:
+        cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample)
+        Q, pivots = select_pivots(A, cfg, rng)
+    except _FAILURES:
+        Q = None
+    shared = time.perf_counter() - t0
+    for method in family:
+        timed(method, lambda: None if Q is None else build_w(
+            A, pivots, replace(cfg, variant=_VARIANTS[method]), rng, basis=Q),
+            shared)
+    return out
+
+
 def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
               oversample=2.0, timing_repeats=1):
     """Run every (method, k, seed) cell on the matrix described by ``spec``.
 
+    Duplicate and aliased method names are merged. The ARP-family methods
+    of a cell share one pivot selection (see the module docstring).
     ``timing_repeats > 1`` re-runs each cell that many times and reports the
     median wall time (the repeats are bit-identical, so the error is
     measured once). Errors raised by a cell are recorded as failed rows
@@ -121,37 +178,27 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
 
     Returns the records in canonical sorted order.
     """
-    methods = [canonical_method(name) for name in methods]
+    methods = list(dict.fromkeys(canonical_method(name) for name in methods))
     if timing_repeats < 1:
         raise InvalidParamError("timing_repeats must be >= 1")
     A = spec.build()
     desc = spec.describe()
     m, n = A.shape
     fro = fro_norm(A)
+
+    def error_and_rank(dec):
+        if dec is None:
+            return float("nan"), 0
+        return residual_fro(A, dec) / fro, dec.effective_rank
+
     records = []
-    for method in methods:
-        for k in k_list:
-            for seed in seeds:
-                times = []
-                dec = None
-                failure = None
-                for _ in range(timing_repeats):
-                    rng = _cell_rng(seed, k)
-                    t0 = time.perf_counter()
-                    try:
-                        dec = run_method(method, A, k, rng, zeta=zeta,
-                                         oversample=oversample)
-                    except (RowpickError, np.linalg.LinAlgError, MemoryError) as exc:
-                        failure = exc
-                        dec = None
-                    times.append(max(time.perf_counter() - t0, 1e-9))
-                    if failure is not None:
-                        break
-                if dec is None:
-                    rel, rank = float("nan"), 0
-                else:
-                    rel = residual_fro(A, dec) / fro
-                    rank = dec.effective_rank
+    for k in k_list:
+        for seed in seeds:
+            runs = [_run_cell(A, methods, k, seed, zeta, oversample,
+                              error_and_rank if r == 0 else lambda dec: None)
+                    for r in range(timing_repeats)]
+            for method, ((rel, rank), _) in runs[0].items():
+                times = [max(run[method][1], 1e-9) for run in runs]
                 records.append(BenchmarkRecord(
                     method=method, matrix=desc, m=m, n=n, k=int(k),
                     seed=int(seed), rel_fro_error=float(rel),

@@ -2,7 +2,8 @@
 single PASS/FAIL line with its measured quantities.
 
 Run with plain ``pytest``; the report lines bypass output capture. The
-kernel-matrix experiments reuse one session-scoped matrix.
+kernel-matrix experiments run through ``run_bench``, whose ARP-family
+records of one (k, trial) cell share one pivot set.
 """
 
 import math
@@ -11,7 +12,6 @@ from collections import Counter
 from itertools import product
 
 import numpy as np
-import pytest
 
 import rowpick as rp
 from rowpick.sketch import sparse_sign_embedding
@@ -24,28 +24,13 @@ def _report(capsys, num, ok, detail):
     return ok
 
 
-@pytest.fixture(scope="module")
-def kernel_matrix():
-    return rp.gen_kernel(40)
+KERNEL = rp.MatrixSpec.parse("kernel:g=40")
 
 
-def _cell_rng(trial, k):
-    return np.random.default_rng(np.random.SeedSequence((trial, k)))
-
-
-def _arp_family(A, k, zeta, oversample, rng):
-    """One pivot pipeline, all three interpolation matrices.
-
-    Bit-identical to three ``arp_decompose`` calls sharing one seed (only
-    ``osid`` draws, after the sampler), at a third of the pipeline cost.
-    """
-    configs = [rp.ArpConfig(k=k, zeta=zeta, oversample=oversample, variant=v)
-               for v in rp.VARIANTS]
-    Q, pivots = rp.select_pivots(A, configs[0], rng)
-    return {
-        cfg.variant: rp.build_w(A, pivots, cfg, rng, basis=Q)
-        for cfg in configs
-    }
+def _errors(records):
+    """``{(method, k, trial): rel_fro_error}``, asserting no cell failed."""
+    assert all(r.ok for r in records)
+    return {(r.method, r.k, r.seed): r.rel_fro_error for r in records}
 
 
 def test_criterion_01_expected_error_identity(capsys):
@@ -153,19 +138,13 @@ def test_criterion_05_worst_case_optimality(capsys):
     )
 
 
-def test_criterion_06_projection_ordering(capsys, kernel_matrix):
+def test_criterion_06_projection_ordering(capsys):
     """Over 100 seeded kernel trials at k=60, the projection variant never
     loses to the basis-interpolation variant."""
-    A = kernel_matrix
     k = 60
-    losses = 0
-    margin = 1e-12 * np.linalg.norm(A)
-    for trial in range(100):
-        family = _arp_family(A, k, 4, 2.0, _cell_rng(trial, k))
-        r1 = rp.residual_fro(A, family["type1"])
-        r2 = rp.residual_fro(A, family["type2"])
-        if r2 > r1 + margin:
-            losses += 1
+    err = _errors(rp.run_bench(KERNEL, ["ARP", "ProjARP"], [k], range(100)))
+    losses = sum(err[("ProjARP", k, t)] > err[("ARP", k, t)] + 1e-12
+                 for t in range(100))
     ok = losses == 0
     assert _report(capsys, 6, ok, f"100 trials, projection lost {losses} times")
 
@@ -188,25 +167,17 @@ def test_criterion_07_interpolation_property(capsys):
     assert _report(capsys, 7, ok, f"30 decompositions, worst gap {worst:.2e}")
 
 
-def test_criterion_08_accuracy_orderings(capsys, kernel_matrix):
+def test_criterion_08_accuracy_orderings(capsys):
     """Kernel accuracy sweep, 10 trials per k: the projection variant stays
     within 2x of the greedy baseline, the oversampled sketch within 2.5x of
     the projection variant, and the basis variant never beats projection."""
-    A = kernel_matrix
-    fro = np.linalg.norm(A)
     k_values = (20, 40, 60, 80, 100, 120)
     trials = 10
-    means = {}
-    for k in k_values:
-        errs = {"ARP": [], "ProjARP": [], "SkARP": [], "RPQR": []}
-        for trial in range(trials):
-            family = _arp_family(A, k, 4, 2.0, _cell_rng(trial, k))
-            errs["ARP"].append(rp.residual_fro(A, family["type1"]) / fro)
-            errs["ProjARP"].append(rp.residual_fro(A, family["type2"]) / fro)
-            errs["SkARP"].append(rp.residual_fro(A, family["osid"]) / fro)
-            dec = rp.run_method("RPQR", A, k, _cell_rng(trial, k))
-            errs["RPQR"].append(rp.residual_fro(A, dec) / fro)
-        means[k] = {m: float(np.mean(v)) for m, v in errs.items()}
+    methods = ("ARP", "ProjARP", "SkARP", "RPQR")
+    err = _errors(rp.run_bench(KERNEL, methods, k_values, range(trials)))
+    means = {k: {m: float(np.mean([err[(m, k, t)] for t in range(trials)]))
+                 for m in methods}
+             for k in k_values}
     ratios_a = {k: means[k]["ProjARP"] / means[k]["RPQR"] for k in k_values}
     ratios_b = {k: means[k]["SkARP"] / means[k]["ProjARP"] for k in k_values}
     ok_a = all(r <= 2.0 for r in ratios_a.values())

@@ -5,7 +5,7 @@ import csv
 import json
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -187,11 +187,69 @@ class TestRunBench:
                             timing_repeats=3)
         assert records[0].wall_time_s > 0
 
+    def test_aliased_methods_merged(self):
+        records = run_bench(SPEC, ["ProjARP", "OptARP"], [4], [0, 1], zeta=2)
+        assert [(r.method, r.seed) for r in records] == [("ProjARP", 0), ("ProjARP", 1)]
+        assert summarize_records(records)["results"]["ProjARP"]["4"]["trials"] == 2
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    @pytest.mark.parametrize("methods", [
+        ["SkARP"], ["ARP", "SkARP"], ["SkARP", "ProjARP", "ARP"], list(METHOD_ORDER),
+    ])
+    def test_shared_selection_matches_standalone_methods(self, methods, repeats):
+        records = run_bench(SPEC, methods, [3, 5], range(3), timing_repeats=repeats)
+        A = SPEC.build()
+        expected = []
+        for method in methods:
+            for k in (3, 5):
+                for seed in range(3):
+                    dec = run_method(method, A, k, _cell_rng(seed, k))
+                    expected.append(BenchmarkRecord(
+                        method, SPEC.describe(), *A.shape, k, seed,
+                        residual_fro(A, dec) / fro_norm(A), 0.0, dec.effective_rank))
+        expected.sort(key=lambda r: (r.method, r.k, r.seed))
+        assert all(r.wall_time_s > 0 for r in records)
+        assert [replace(r, wall_time_s=0.0) for r in records] == expected
+
+    def test_failed_selection_fails_the_family(self):
+        records = run_bench(SPEC, ["SkARP", "ARP", "ProjARP"], [45], [0])
+        assert [r.method for r in records] == ["ARP", "ProjARP", "SkARP"]
+        for r in records:
+            assert math.isnan(r.rel_fro_error)
+            assert r.effective_rank == 0
+            assert r.wall_time_s > 0
+
     def test_shared_seed_reproducibility(self):
         a = run_bench(SPEC, ["SkARP"], [4], seeds=[7], zeta=2)
         b = run_bench(SPEC, ["SkARP"], [4], seeds=[7], zeta=2)
         assert a[0].rel_fro_error == b[0].rel_fro_error
         assert a[0].effective_rank == b[0].effective_rank
+
+
+@pytest.mark.parametrize("methods", [["ARP", "ProjARP", "SkARP"],
+                                     ["ARP", "ProjARP", "SkARP", "SkQR"]])
+def test_cell_memory_is_one_decomposition(methods):
+    # W, Q and the osid sketch of a 40000 x 60 cell take 18-37 MiB each, so
+    # a decomposition or basis kept alive under the next one shows well
+    # above the bound
+    spec = MatrixSpec.parse("sparse-decay:m=40000,n=1000,nnz=30,seed=0")
+    A = spec.build()
+    single = 0
+    tracemalloc.start()
+    try:
+        for method in methods:
+            tracemalloc.reset_peak()
+            dec = run_method(method, A, 60, _cell_rng(0, 60))
+            residual_fro(A, dec)
+            del dec
+            single = max(single, tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        records = run_bench(spec, methods, [60], [0])
+        cell = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.ok for r in records)
+    assert cell <= 1.1 * single
 
 
 class TestRecord:
