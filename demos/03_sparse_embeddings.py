@@ -21,9 +21,9 @@ print(np.array2string(np.sign(dense).astype(int), separator=" "))
 print(f"\nnonzeros per row: {np.unique(np.sum(dense != 0, axis=1))}")
 print(f"row norms:        {np.unique(np.sum(dense * dense, axis=1))}")
 
-# sketch_apply is one sparse product against the matrix above, summed in
-# the library's canonical order (ascending input row); it agrees with a
-# dense BLAS product to roundoff
+# sketch_apply multiplies by the matrix above over row blocks of A, summed
+# in the library's canonical order (ascending input column of A per output
+# entry); it agrees with a dense BLAS product to roundoff
 A = rng.standard_normal((5, 8))
 sketch = rp.sketch_apply(A, omega)
 print(f"\nmax |sketch_apply(A, omega) - A @ omega| = "

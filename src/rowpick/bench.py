@@ -102,9 +102,7 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0):
         return arp_decompose(A, cfg, rng)
     if method == "SkQR":
         emb = sparse_sign_embedding(n, _round_up_multiple(k, zeta), zeta, rng)
-        B = sketch_apply(A, emb)
-        _, _, perm = sla.qr(B.T, mode="economic", pivoting=True)
-        pivots = PivotSet(np.asarray(perm[:k], dtype=np.intp), m)
+        pivots = PivotSet(_qr_pivots(sketch_apply(A, emb).T)[:k], m)
         return build_w(A, pivots, cfg, rng)
     # RPQR: sequential selection on the full matrix, projection W
     try:
@@ -113,6 +111,18 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0):
         raise InvalidParamError("A has a NaN or infinite entry, or a squared "
                                 "norm past the float range") from None
     return build_w(A, pivots, cfg, rng)
+
+
+def _qr_pivots(M):
+    """Column order of the pivoted QR of the Fortran-order ``M``, which is
+    factored in place: LAPACK's ``geqp3`` after the workspace query that
+    ``scipy.linalg.qr`` makes, with no copy of ``M`` and no ``R``."""
+    geqp3 = sla.get_lapack_funcs("geqp3", (M,))
+    lwork = int(geqp3(M, lwork=-1, overwrite_a=1)[-2][0].real)
+    _, jpvt, _, _, info = geqp3(M, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geqp3")
+    return jpvt.astype(np.intp) - 1
 
 
 def _cell_rng(seed, k):

@@ -25,6 +25,7 @@ from .errors import DimensionMismatchError, InvalidParamError, RankDeficientErro
 from .linalg import (
     BLOCK_ENTRIES,
     _canonical,
+    _row_blocks,
     _scale_exponent,
     _scaled,
     _unscaled_root,
@@ -34,7 +35,7 @@ from .linalg import (
     vector_norm,
 )
 from .samplers import PivotSet, rejection_rpqr
-from .sketch import sparse_sign_embedding, sketch_apply
+from .sketch import _SketchRows, sketch_apply, sparse_sign_embedding
 
 VARIANTS = ("type1", "type2", "osid")
 
@@ -195,20 +196,27 @@ def build_w(A, pivots, cfg, rng, basis=None):
     numerical rank, the pivot rows of ``W``, which then equal the
     identity in exact arithmetic, are set to it; otherwise ``W`` comes from
     the truncated-SVD fallback, left as computed, and ``pinv_fallback`` is
-    set.
+    set. ``osid`` takes ``X[S, :]`` as the sketch of ``A[S, :]``, which has
+    its bytes, and streams the sketch's row blocks into ``W``, so it forms
+    the whole sketch only for the fallback.
     """
+    S = pivots.indices
     if cfg.variant == "type1":
         if basis is None:
             raise InvalidParamError("type1 needs the basis Q")
         W, fallback = build_type1_w(basis, pivots)
+    elif cfg.variant == "type2":
+        W, fallback = _pinv_apply(A, _take_rows(A, S))
     else:
-        X = A
-        if cfg.variant == "osid":
-            width = _round_up_multiple(int(round(cfg.oversample * cfg.k)), cfg.zeta)
-            X = sketch_apply(A, sparse_sign_embedding(A.shape[1], width, cfg.zeta, rng))
-        W, fallback = _pinv_apply(X, _take_rows(X, pivots.indices))
+        width = _round_up_multiple(int(round(cfg.oversample * cfg.k)), cfg.zeta)
+        Y = _SketchRows(A, sparse_sign_embedding(A.shape[1], width, cfg.zeta, rng))
+        B = sketch_apply(_take_rows(Y.A, S), Y.omega)
+        try:
+            W, fallback = apply_pinv_right(Y, B), False
+        except RankDeficientError:
+            W, fallback = svd_pinv_apply(sketch_apply(Y.A, Y.omega), B), True
     if not fallback:
-        W[pivots.indices, :] = np.eye(len(pivots))
+        W[S, :] = np.eye(len(pivots))
     return InterpolativeDecomposition(
         pivots=pivots, w=W, config=cfg, pinv_fallback=fallback)
 
@@ -236,21 +244,6 @@ def fro_norm(A):
     else:
         x = np.asarray(A, dtype=np.float64).ravel(order="K")
     return vector_norm(x)
-
-
-def _row_blocks(A, block_rows):
-    """``(lo, hi)`` ranges of at most ``block_rows`` rows of ``A``; for
-    sparse (CSR) ``A`` also of at most ``BLOCK_ENTRIES`` stored entries,
-    unless one row alone holds more."""
-    m = A.shape[0]
-    lo = 0
-    while lo < m:
-        hi = min(lo + block_rows, m)
-        if sp.issparse(A):
-            end = A.indptr[lo] + BLOCK_ENTRIES
-            hi = min(hi, max(lo + 1, int(np.searchsorted(A.indptr, end, "right")) - 1))
-        yield lo, hi
-        lo = hi
 
 
 def residual_fro(A, dec, block_rows=None):

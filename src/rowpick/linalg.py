@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -76,6 +77,21 @@ def _canonical(A, array_type):
         A = A.copy()
         A.sum_duplicates()
     return A
+
+
+def _row_blocks(A, block_rows):
+    """``(lo, hi)`` ranges of at most ``block_rows`` rows of ``A``; for
+    sparse (CSR) ``A`` also of at most ``BLOCK_ENTRIES`` stored entries,
+    unless one row alone holds more."""
+    m = A.shape[0]
+    lo = 0
+    while lo < m:
+        hi = min(lo + block_rows, m)
+        if sp.issparse(A):
+            end = A.indptr[lo] + BLOCK_ENTRIES
+            hi = min(hi, max(lo + 1, int(np.searchsorted(A.indptr, end, "right")) - 1))
+        yield lo, hi
+        lo = hi
 
 
 def _as_matrix(a, name="matrix"):
@@ -153,12 +169,18 @@ def squared_row_norms(Q):
 def apply_pinv_right(A, B):
     """Compute ``A @ pinv(B)`` for a full-row-rank ``B`` via QR of ``B^T``.
 
-    Never forms normal equations. ``A`` may be dense or a scipy sparse
-    matrix; the result is dense.
+    Never forms normal equations. ``A`` may be dense, a scipy sparse
+    matrix, or a matrix given by its row blocks: an object with ``shape``
+    whose iteration yields ``(lo, hi, block)`` for consecutive row ranges,
+    such as the sketch the ``osid`` variant streams. Each block's product
+    with ``Q_b`` is written into its rows of the one dense result, and the
+    triangular solve runs there in place, so a block stream is never held
+    whole. A dense or sparse ``A`` is one block, whose product is already
+    the result's own buffer.
 
     Parameters
     ----------
-    A : (m, n) array or sparse
+    A : (m, n) array, sparse, or row blocks
     B : (k, n) ndarray, k <= n
 
     Raises
@@ -166,7 +188,7 @@ def apply_pinv_right(A, B):
     RankDeficientError
         B's numerical row rank is below k (an R diagonal entry of the QR of
         ``B^T`` falls below ``RANK_RTOL * ||B||_F``). The caller decides the
-        fallback.
+        fallback. Raised before any block of ``A`` is read.
     """
     B = _as_matrix(B, "B")
     kb, n = B.shape
@@ -182,12 +204,25 @@ def apply_pinv_right(A, B):
         raise RankDeficientError(
             "B is numerically row rank deficient; pseudoinverse via QR refused"
         )
-    Y = np.asarray(A @ Qb)
-    # A B^+ = (A Q_b) R_b^{-T}; transpose to a standard triangular solve,
-    # in place in the fresh Y, whose transpose is the Fortran order LAPACK
-    # works in
-    X = sla.solve_triangular(Rb, Y.T, lower=False, overwrite_b=True)
-    return np.ascontiguousarray(X.T)
+    # A B^+ = (A Q_b) R_b^{-T}
+    if isinstance(A, np.ndarray) or sp.issparse(A):
+        W = np.ascontiguousarray(A @ Qb)
+        _solve_rt(Rb, W)
+        return W
+    W = np.empty((A.shape[0], kb))
+    for lo, hi, X in A:
+        _solve_rt(Rb, np.matmul(X, Qb, out=W[lo:hi]))
+        del X  # before the next block is made
+    return W
+
+
+def _solve_rt(R, Y):
+    """``Y <- Y R^{-T}`` for upper triangular ``R`` and C-order ``Y``: a
+    standard triangular solve on ``Y^T``, in place, as ``Y^T`` is in the
+    Fortran order LAPACK works in."""
+    X = sla.solve_triangular(R, Y.T, lower=False, overwrite_b=True)
+    if not np.shares_memory(X, Y):
+        Y[...] = X.T
 
 
 def svd_pinv_apply(A, B):

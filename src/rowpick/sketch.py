@@ -1,5 +1,5 @@
-"""Structured sparse sign embeddings, and their application as one sparse
-product.
+"""Structured sparse sign embeddings, and their application over row
+blocks in a canonical accumulation order.
 
 An embedding of dimension ``k`` with row sparsity ``zeta`` (``zeta | k``)
 is an ``n x k`` sparse matrix with exactly ``zeta`` nonzeros in every row:
@@ -7,15 +7,18 @@ one per contiguous column block of width ``b = k / zeta``, each equal to
 ``+-zeta**-0.5``. Every row therefore has unit Euclidean norm.
 
 Floating-point reproducibility contract: products against the embedding
-accumulate each output column's contributions in ascending input-row order.
-:func:`sketch_apply` computes ``A @ Omega`` as ``(Omega^T @ A^T)^T`` with
-``Omega^T`` in CSR form with sorted indices, so scipy's ``csr_matvecs``
-(dense ``A``) and ``csr_matmat`` (sparse ``A``) kernels add up each output
-entry over the nonzeros of one ``Omega^T`` row in ascending column order,
-which is that canonical order. A sparse ``A`` and its dense copy therefore
-give the same bits: the zero entries only add exact zeros. Each row of the
-sketch depends on the same row of ``A`` alone, so the rows ``S`` of the
-sketch of ``A`` have the bytes of the sketch of ``A[S, :]``.
+accumulate each output entry's contributions in ascending input-column
+order ``j`` of ``A``. :func:`sketch_apply` sketches a dense row block as
+``(Omega^T @ A[lo:hi]^T)^T`` with ``Omega^T`` in CSR form with sorted
+indices, so scipy's ``csr_matvecs`` kernel adds up each output entry over
+the nonzeros of one ``Omega^T`` row in ascending column order. It sketches
+a sparse row block as ``A[lo:hi] @ Omega`` with both in CSR form with
+sorted indices, so the ``csr_matmat`` kernel adds up each output entry over
+the nonzeros of one row of ``A``, again in ascending ``j``. A sparse ``A``
+and its dense copy therefore give the same bits: the zero entries only add
+exact zeros. Each row of the sketch depends on the same row of ``A`` alone,
+so any row blocks give the same bits, and the rows ``S`` of the sketch of
+``A`` have the bytes of the sketch of ``A[S, :]``.
 """
 
 from math import sqrt
@@ -24,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidParamError, InvalidSparsityError
-from .linalg import _canonical
+from .linalg import BLOCK_ENTRIES, _canonical, _row_blocks
 
 
 def sparse_sign_embedding(n, k, zeta, rng):
@@ -61,27 +64,85 @@ def sparse_sign_embedding(n, k, zeta, rng):
     return out
 
 
-def sketch_apply(A, omega):
-    """``A @ omega`` for dense or sparse ``A`` and an embedding ``omega``
-    from :func:`sparse_sign_embedding`, as one sparse product in the
-    canonical accumulation order.
-
-    Sparse ``A`` is read in canonical CSC form, so duplicate entries are
-    summed first, as in its dense copy. Every entry of ``A`` reaches the
-    product, so a NaN or infinite entry leaves one in the output, which is
-    refused with :class:`InvalidParamError`.
-    """
+def _sketch_input(A, n):
+    """``A`` as a float64 dense array or a canonical CSR array of ``n``
+    columns."""
     if sp.issparse(A):
-        A = _canonical(A, sp.csc_array).astype(np.float64, copy=False)
+        A = _canonical(A, sp.csr_array).astype(np.float64, copy=False)
     else:
         A = np.asarray(A, dtype=np.float64)
-    n = omega.shape[0]
     if A.ndim != 2 or A.shape[1] != n:
         raise DimensionMismatchError(f"A must be m x {n}, got shape {A.shape}")
-    out_t = omega.T @ A.T
-    if sp.issparse(out_t):
-        out_t = out_t.toarray()
-    if not np.isfinite(out_t).all():
-        raise InvalidParamError(
-            "A has a NaN or infinite entry, or its sketch overflows")
-    return np.ascontiguousarray(out_t.T)
+    return A
+
+
+def _rows(A, lo, hi):
+    """Rows ``lo:hi`` of dense or CSR ``A``, as a view of its arrays."""
+    if not sp.issparse(A):
+        return A[lo:hi]
+    ptr = A.indptr[lo:hi + 1]
+    return sp.csr_array(
+        (A.data[ptr[0]:ptr[-1]], A.indices[ptr[0]:ptr[-1]], ptr - ptr[0]),
+        shape=(hi - lo, A.shape[1]))
+
+
+def sketch_apply(A, omega):
+    """``A @ omega`` for dense or sparse ``A`` and an embedding ``omega``
+    from :func:`sparse_sign_embedding`, in the canonical accumulation order
+    of the module docstring.
+
+    The product runs over row blocks of ``A`` into one preallocated C-order
+    output, so beyond its output it needs about one block of
+    ``BLOCK_ENTRIES`` float64 entries (16 MB). Sparse ``A`` is read once as
+    a canonical CSR copy, so duplicate entries are summed first, as in its
+    dense copy.
+
+    Every entry of ``A`` reaches the product, so a NaN or infinite entry
+    leaves one in its block, which is refused with
+    :class:`InvalidParamError`.
+    """
+    A = _sketch_input(A, omega.shape[0])
+    n, width = omega.shape
+    out = np.empty((A.shape[0], width))
+    if sp.issparse(A):
+        omega = sp.csr_array(omega)
+        block_rows = BLOCK_ENTRIES // width
+    else:
+        omega = omega.T
+        block_rows = BLOCK_ENTRIES // (n + width)
+    for lo, hi in _row_blocks(A, max(1, block_rows)):
+        if sp.issparse(A):
+            block = (_rows(A, lo, hi) @ omega).toarray(out=out[lo:hi])
+        else:
+            block = out[lo:hi]
+            block[...] = (omega @ A[lo:hi].T).T
+        if not np.isfinite(block).all():
+            raise InvalidParamError(
+                "A has a NaN or infinite entry, or its sketch overflows")
+    return out
+
+
+class _SketchRows:
+    """The sketch ``A @ omega`` as ``(lo, hi, block)`` row blocks, each
+    :func:`sketch_apply` of rows ``lo:hi`` of ``A``, so with the bytes of
+    those rows of the whole sketch. Each block is made when the iteration
+    reaches it.
+
+    The blocks are near equal, of at most ``BLOCK_ENTRIES`` entries and,
+    when there are several, at least half that. So a product of each block
+    with a small matrix takes the BLAS kernel the whole sketch would take:
+    OpenBLAS has other kernels, with other rounding, for one-row products
+    and for products of at most 10**6 multiply-adds.
+    """
+
+    def __init__(self, A, omega):
+        self.A = _sketch_input(A, omega.shape[0])
+        self.omega = omega
+        self.shape = (self.A.shape[0], omega.shape[1])
+
+    def __iter__(self):
+        m = self.shape[0]
+        count = -(-m // max(1, BLOCK_ENTRIES // self.shape[1]))
+        for i in range(count):
+            lo, hi = m * i // count, m * (i + 1) // count
+            yield lo, hi, sketch_apply(_rows(self.A, lo, hi), self.omega)

@@ -2,6 +2,7 @@
 the enumeration-scale expectation identity, and residual evaluation."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from rowpick import (
     select_pivots,
 )
 from rowpick.decompose import build_type1_w
+from rowpick.linalg import BLOCK_ENTRIES
 from rowpick.samplers import rejection_rpqr
 
 
@@ -306,6 +308,46 @@ class TestPinvFallback:
         assert not fell_back
 
 
+class TestStreamedW:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_blocks_keep_bits(self, block_entries, sparse):
+        # BLOCK_ENTRIES = 100 streams the width-10 osid sketch of 51 rows in
+        # 6 blocks and sketches in blocks with a ragged last one
+        A = gen_decay_sparse(51, 30, 9, np.random.default_rng(13)).toarray()
+        A[[7, 8], :] = A[[20, 20], :]  # two equal pairs of rows
+        A = sp.csc_array(A) if sparse else A
+        cfg = ArpConfig(k=5, zeta=2, seed=14)
+        twins = PivotSet(np.array([7, 20, 8, 3]), 51)
+
+        def decompositions():
+            decs = [arp_decompose(A, replace(cfg, variant=v)) for v in VARIANTS]
+            return decs + [build_w(A, twins, cfg, np.random.default_rng(15))]
+
+        whole = decompositions()
+        assert whole[-1].pinv_fallback and not whole[2].pinv_fallback
+        block_entries(100)
+        assert decompositions() == whole
+
+    def test_osid_never_forms_the_sketch(self):
+        A = gen_decay_sparse(40000, 1000, 30, np.random.default_rng(0))
+        cfg = ArpConfig(k=60, seed=0)
+        rng = np.random.default_rng(0)
+        _, pivots = select_pivots(A, cfg, rng)
+        tracemalloc.start()
+        try:
+            dec = build_w(A, pivots, cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = 2 * cfg.k
+        sketch = 8 * A.shape[0] * width
+        # W, one block of the sketch with its finiteness mask, and the pivot
+        # rows of A and of its sketch
+        bound = dec.w.nbytes + 9 * BLOCK_ENTRIES + 8 * width * A.shape[1]
+        assert bound < dec.w.nbytes + sketch
+        assert peak < bound
+
+
 class TestResidualFro:
     def test_zero_w_gives_matrix_norm(self):
         from rowpick import InterpolativeDecomposition, PivotSet
@@ -411,6 +453,7 @@ class TestResidualFro:
 
     def test_blocks_capped_by_stored_entries(self, monkeypatch):
         import rowpick.decompose as decompose
+        import rowpick.linalg as linalg
         from rowpick import PivotSet
 
         rng = np.random.default_rng(12)
@@ -421,8 +464,9 @@ class TestResidualFro:
         A = sp.csc_array(A)
         dec = build_w(A, PivotSet(np.array([17, 40]), 200),
                       ArpConfig(k=2, variant="type2"), None)
-        monkeypatch.setattr(decompose, "BLOCK_ENTRIES", 40)
-        blocks = list(decompose._row_blocks(sp.csr_array(A), 10**6))
+        for module in (linalg, decompose):
+            monkeypatch.setattr(module, "BLOCK_ENTRIES", 40)
+        blocks = list(linalg._row_blocks(sp.csr_array(A), 10**6))
         assert (5, 6) in blocks
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
         assert blocks[-1][1] == 200

@@ -1,5 +1,8 @@
 """Sparse sign embedding tests: structure, determinism, and exact agreement
-between sketch_apply and the product in canonical order."""
+between sketch_apply and the product in canonical order, over any row
+blocks, in bounded memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +10,15 @@ import scipy.sparse as sp
 
 from rowpick import (
     DimensionMismatchError,
+    InvalidParamError,
     InvalidSparsityError,
+    MatrixSpec,
+    gen_decay_dense,
     sketch_apply,
     sparse_sign_embedding,
 )
+from rowpick.linalg import BLOCK_ENTRIES
+from rowpick.sketch import _SketchRows
 from rowpick.verify import _canonical_product
 
 
@@ -160,6 +168,56 @@ class TestApply:
             sketch_apply(sp.csc_array((3, 9)), omega)
         with pytest.raises(DimensionMismatchError):
             sketch_apply(np.zeros(8), omega)
+
+
+class TestRowBlocks:
+    # with BLOCK_ENTRIES = 100, a 51 x 30 input sketched at width 10 runs in
+    # blocks of 2 rows (dense) and 10 rows (sparse), each with a one-row
+    # last block, and streams in 6 blocks of 8 or 9 rows
+    @staticmethod
+    def _input(sparse):
+        rng = np.random.default_rng(11)
+        D = rng.standard_normal((51, 30)) * (rng.random((51, 30)) < 0.3)
+        return D, (sp.csc_array(D) if sparse else D)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_blocks_keep_bits(self, block_entries, sparse):
+        D, A = self._input(sparse)
+        omega = sparse_sign_embedding(30, 10, 2, np.random.default_rng(12))
+        whole = sketch_apply(A, omega)
+        block_entries(100)
+        assert sketch_apply(A, omega).tobytes() == whole.tobytes()
+        assert whole.tobytes() == _canonical_product(D, omega).tobytes()
+        blocks = list(_SketchRows(A, omega))
+        assert len(blocks) == 6
+        assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
+        assert np.vstack([b for _, _, b in blocks]).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_in_last_block_refused(self, block_entries, sparse):
+        D, _ = self._input(sparse)
+        D[-1, 4] = np.nan
+        A = sp.csc_array(D) if sparse else D
+        omega = sparse_sign_embedding(30, 10, 2, np.random.default_rng(12))
+        block_entries(100)
+        with pytest.raises(InvalidParamError, match="^A has a NaN or infinite entry"):
+            sketch_apply(A, omega)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_memory_above_output_is_one_block(self, sparse):
+        # the sketch of all of A at once held two to three times its output
+        if sparse:
+            A = MatrixSpec.parse("sparse-decay:m=40000,n=1000,nnz=30,seed=0").build()
+        else:
+            A = gen_decay_dense(3000, 2000, np.random.default_rng(0))
+        omega = sparse_sign_embedding(A.shape[1], 120, 4, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            out = sketch_apply(A, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 1.25 * 8 * BLOCK_ENTRIES
 
 
 class TestStatisticalIsotropy:
