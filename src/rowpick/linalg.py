@@ -10,6 +10,13 @@ Conventions used throughout the library:
 * the relative cutoff for every rank decision is the single constant
   ``RANK_RTOL``, taken relative to a Frobenius norm that neither overflows
   nor underflows at any scale of the input;
+* :func:`orth` factors an input taller than one leaf of ``QR_LEAF_ROWS``
+  rows (``2 n`` for an ``n``-column input, if that is more) as a
+  tall-skinny QR over near-equal leaves of at most that height, so beyond
+  its output ``Q`` it needs a few leaves of memory. An input of at most
+  one leaf is one Householder QR. The leaf height is a constant of its
+  own, not an option and not tied to ``BLOCK_ENTRIES``, so a basis keeps
+  its bits whatever the block size of the other passes;
 * :func:`orth` and the samplers, with the block sampler's QR, run on
   numpy's BLAS and LAPACK. numpy and scipy each bundle their own OpenBLAS,
   whose idle worker threads spin for about 0.1 s after a threaded call; on
@@ -33,6 +40,7 @@ from .errors import (
 
 RANK_RTOL = 1e-12
 BLOCK_ENTRIES = 2**21  # float64 entries in one block of a blocked pass: 16 MB
+QR_LEAF_ROWS = 4096  # rows of one leaf of orth's tall-skinny QR
 SCALE_FREE_EXP = 256  # norms leave max|x| in [2**-256, 2**256] unscaled
 
 
@@ -79,6 +87,15 @@ def _canonical(A, array_type):
     return A
 
 
+def _even_blocks(m, block_rows):
+    """``(lo, hi)`` ranges splitting ``m`` rows into the fewest near-equal
+    blocks of at most ``block_rows`` rows; when there are several, each
+    has at least ``block_rows // 2``."""
+    count = -(-m // block_rows)
+    for i in range(count):
+        yield m * i // count, m * (i + 1) // count
+
+
 def _row_blocks(A, block_rows):
     """``(lo, hi)`` ranges of at most ``block_rows`` rows of ``A``; for
     sparse (CSR) ``A`` also of at most ``BLOCK_ENTRIES`` stored entries,
@@ -110,9 +127,14 @@ def orth(B):
     and of ``2**j * B`` agree. If ``B`` is numerically rank deficient, the
     basis is narrower than ``B``: its leading left singular vectors.
 
+    A ``B`` taller than one leaf, ``max(QR_LEAF_ROWS, 2 n)`` rows, is
+    factored as a tall-skinny QR (see :func:`_tsqr`), so beyond ``Q`` it
+    needs a few leaves of memory, where one QR of all of ``B`` needs two
+    more ``m x n`` arrays. A ``B`` of at most one leaf is that one QR.
+
     Parameters
     ----------
-    B : (m, n) ndarray, m >= n
+    B : (m, n) ndarray, m >= n; never written
 
     Returns
     -------
@@ -134,13 +156,22 @@ def orth(B):
     if not math.isfinite(tol):
         raise InvalidParamError(
             "B has a NaN or infinite entry, or a norm past the float range")
-    h, tau = np.linalg.qr(B, mode="raw")
-    F = h.T  # R on and above the diagonal, the reflectors' tails below
-    R = np.triu(F[:n])
+    Q, R = _tsqr(B, max(QR_LEAF_ROWS, 2 * n))
     rank = int(np.count_nonzero(np.linalg.svd(R, compute_uv=False) > tol))
-    # Q = (H_1 ... H_n)[:, :n] = E - V T V[:n]^T, with T from the recurrence
-    # of LAPACK's dlarft, which numpy does not expose
-    V = F  # overwritten: the unit lower trapezoid of reflectors
+    if rank < n:
+        Q = Q @ np.linalg.svd(R)[0][:, :rank]
+    return np.ascontiguousarray(Q)
+
+
+def _householder(X):
+    """Householder QR ``X = (I - V T V^T)[:, :n] R`` of ``X`` (rows >= n
+    cols): ``V`` the unit lower trapezoid of reflectors, in a new array,
+    ``T`` upper triangular, from the recurrence of LAPACK's dlarft, which
+    numpy does not expose."""
+    n = X.shape[1]
+    h, tau = np.linalg.qr(X, mode="raw")
+    V = h.T  # R on and above the diagonal, the reflectors' tails below
+    R = np.triu(V[:n])
     V[np.triu_indices(n)] = 0.0
     np.fill_diagonal(V, 1.0)
     G = V.T @ V
@@ -148,12 +179,41 @@ def orth(B):
     for j, t in enumerate(tau.tolist()):
         T[:j, j] = -t * (T[:j, :j] @ G[:j, j])
         T[j, j] = t
-    Q = V @ (T @ V[:n].T)
-    np.negative(Q, out=Q)
-    Q[:n] += np.eye(n)
-    if rank < n:
-        Q = Q @ np.linalg.svd(R)[0][:, :rank]
-    return np.ascontiguousarray(Q)
+    return V, T, R
+
+
+def _tsqr(B, leaf):
+    """``(Q, R)`` with ``B = Q R``, ``Q`` (m x n) explicit and C-order.
+
+    A ``B`` of at most ``leaf`` rows is one Householder QR. A taller one is
+    split into near-equal leaves of at most ``leaf`` rows (and at least
+    ``leaf / 2 >= n``), each factored alone, its reflectors kept in its
+    rows of ``Q``; the stacked ``R`` of the leaves is factored by this
+    same function, ``[R_1; R_2; ...] = Qhat R``, and each leaf's rows of
+    ``Q`` become ``(I - V T V^T)[:, :n] Qhat_i`` in place: the
+    sequential TSQR of Demmel, Grigori, Hoemmen and Langou (2012).
+    """
+    m, n = B.shape
+    if m <= leaf:
+        V, T, R = _householder(B)
+        Q = V @ (T @ V[:n].T)
+        np.negative(Q, out=Q)
+        Q[:n] += np.eye(n)
+        return Q, R
+    leaves = list(_even_blocks(m, leaf))
+    Q = np.empty((m, n))
+    Ts, Rs = [], []
+    for lo, hi in leaves:
+        V, T, R = _householder(B[lo:hi])
+        Q[lo:hi] = V  # until the leaf's rows of Q replace its reflectors
+        Ts.append(T)
+        Rs.append(R)
+    Qhat, R = _tsqr(np.vstack(Rs), leaf)
+    for (lo, hi), T, Qh in zip(leaves, Ts, np.split(Qhat, len(leaves))):
+        V = Q[lo:hi]
+        np.negative(V @ (T @ (V[:n].T @ Qh)), out=V)
+        V[:n] += Qh
+    return Q, R
 
 
 def squared_row_norms(Q):

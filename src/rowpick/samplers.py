@@ -321,7 +321,9 @@ def rpqr_sequential(M, k, rng):
     A downdated norm that dips below 1e-8 of its value when last computed
     has lost its digits to cancellation, and is replaced by the true
     residual norm (cancellation guard), computed in column blocks of at
-    most 16 MB.
+    most 16 MB. A column whose true residual is exactly zero is spent, and
+    gets the selected columns' negative floor, so the guard never
+    recomputes it again.
 
     Raises
     ------
@@ -348,7 +350,7 @@ def rpqr_sequential(M, k, rng):
     else:
         norms2 = np.einsum("ij,ij->j", M, M)
     # cancellation floor: 1e-8 of each squared norm at its last computation;
-    # selected columns get a negative floor so never look stale
+    # selected and spent columns get a negative floor so never look stale
     floor = 1e-8 * norms2
     cum = norms2.cumsum()
     total0 = total = float(cum[-1])
@@ -386,7 +388,7 @@ def rpqr_sequential(M, k, rng):
         if stale:
             cols = np.flatnonzero(below)
             norms2[cols] = fresh = _residual_norms2(M, cols, basis[:j])
-            floor[cols] = 1e-8 * fresh
+            floor[cols] = np.where(fresh > 0.0, 1e-8 * fresh, -1.0)
         np.maximum(norms2, 0.0, out=norms2)
         cum = norms2.cumsum()
         total = float(cum[-1])

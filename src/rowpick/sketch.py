@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatchError, InvalidParamError, InvalidSparsityError
-from .linalg import BLOCK_ENTRIES, _canonical, _row_blocks
+from .linalg import BLOCK_ENTRIES, _canonical, _even_blocks, _row_blocks
 
 
 def sparse_sign_embedding(n, k, zeta, rng):
@@ -141,8 +141,5 @@ class _SketchRows:
         self.shape = (self.A.shape[0], omega.shape[1])
 
     def __iter__(self):
-        m = self.shape[0]
-        count = -(-m // max(1, BLOCK_ENTRIES // self.shape[1]))
-        for i in range(count):
-            lo, hi = m * i // count, m * (i + 1) // count
+        for lo, hi in _even_blocks(self.shape[0], max(1, BLOCK_ENTRIES // self.shape[1])):
             yield lo, hi, sketch_apply(_rows(self.A, lo, hi), self.omega)

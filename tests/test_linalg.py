@@ -2,6 +2,8 @@
 Householder QR, and pseudoinverse application against an independent SVD
 oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +18,7 @@ from rowpick import (
     orth,
     squared_row_norms,
 )
+from rowpick import linalg
 from rowpick.samplers import HouseholderQR
 
 
@@ -72,6 +75,105 @@ class TestOrth:
         Q = orth(B)
         k = Q.shape[1]
         assert np.linalg.norm(Q.T @ Q - np.eye(k)) <= 1e-12 * np.sqrt(k)
+
+
+class TestTallOrth:
+    """``orth`` of inputs taller than one leaf. ``QR_LEAF_ROWS`` is patched
+    to 64, so a 3000-row input spans 47 leaves, whose 376 stacked ``R`` rows
+    span 6 more, and the 48 rows of those are one QR."""
+
+    LEAF = 64
+
+    @pytest.fixture
+    def leaf_rows(self, monkeypatch):
+        def set_to(rows):
+            monkeypatch.setattr(linalg, "QR_LEAF_ROWS", rows)
+        return set_to
+
+    @staticmethod
+    def _both(B, leaf_rows, leaf):
+        """``orth(B)`` in one leaf and in leaves of ``leaf`` rows."""
+        leaf_rows(B.shape[0])
+        one = orth(B)
+        leaf_rows(leaf)
+        return one, orth(B)
+
+    def test_leaves_recurse_once(self, leaf_rows, monkeypatch):
+        heights = []
+        real = linalg._tsqr
+
+        def spy(B, leaf):
+            heights.append(B.shape[0])
+            return real(B, leaf)
+
+        monkeypatch.setattr(linalg, "_tsqr", spy)
+        leaf_rows(self.LEAF)
+        orth(np.random.default_rng(0).standard_normal((3000, 8)))
+        assert heights == [3000, 47 * 8, 6 * 8]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_orthonormal_and_same_projection(self, leaf_rows, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((3000, 8)) * np.logspace(0, 6, 8)
+        B_before = B.copy()
+        one, Q = self._both(B, leaf_rows, self.LEAF)
+        np.testing.assert_array_equal(B, B_before)
+        assert Q.shape == one.shape and Q.flags.c_contiguous
+        assert np.linalg.norm(Q.T @ Q - np.eye(8)) <= 1e-13
+        norm = np.linalg.norm(B)
+        resid = np.linalg.norm(B - Q @ (Q.T @ B))
+        resid_one = np.linalg.norm(B - one @ (one.T @ B))
+        assert resid <= 4 * max(resid_one, 1e-16 * norm)
+        assert np.linalg.norm(one - Q @ (Q.T @ one)) <= 1e-12
+
+    def test_rank_deficient_input(self, leaf_rows):
+        rng = np.random.default_rng(8)
+        base = rng.standard_normal((3000, 5))
+        B = np.hstack([base, base @ rng.standard_normal((5, 3))])
+        B[1000:1400] = 0.0  # whole leaves of zeros
+        one, Q = self._both(B, leaf_rows, self.LEAF)
+        assert one.shape == Q.shape == (3000, 5)
+        assert np.linalg.norm(Q.T @ Q - np.eye(5)) <= 1e-13
+        assert np.linalg.norm(one - Q @ (Q.T @ one)) <= 1e-12
+
+    def test_graded_input_keeps_rank(self, leaf_rows):
+        # singular values from 1 to 1e-16: 27 of 36 clear RANK_RTOL
+        rng = np.random.default_rng(4)
+        U = np.linalg.qr(rng.standard_normal((3000, 36)))[0]
+        V = np.linalg.qr(rng.standard_normal((36, 36)))[0]
+        B = (U * np.logspace(0, -16, 36)) @ V.T
+        one, Q = self._both(B, leaf_rows, 80)
+        assert one.shape == Q.shape == (3000, 27)
+        assert np.linalg.norm(Q.T @ Q - np.eye(27)) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_a_late_leaf_rejected(self, leaf_rows, bad):
+        B = np.random.default_rng(9).standard_normal((3000, 8))
+        B[2990, 3] = bad
+        leaf_rows(self.LEAF)
+        with pytest.raises(InvalidParamError, match="NaN or infinite"):
+            orth(B)
+
+    @pytest.mark.parametrize("m, n, leaf", [(64, 8, 64), (40, 8, 64), (80, 40, 16)])
+    def test_one_leaf_keeps_bits(self, leaf_rows, m, n, leaf):
+        # at most max(QR_LEAF_ROWS, 2 n) rows is one leaf: the last case is
+        # taller than QR_LEAF_ROWS, but not than twice its width
+        rng = np.random.default_rng(m + n)
+        B = rng.standard_normal((m, n))
+        B[:, -1] = B[:, 0]
+        one, Q = self._both(B, leaf_rows, leaf)
+        assert Q.tobytes() == one.tobytes()
+
+    def test_memory_is_q_and_a_few_leaves(self):
+        # one QR of the whole input held a raw-QR copy of it beside Q
+        B = np.random.default_rng(10).standard_normal((40000, 60))
+        tracemalloc.start()
+        try:
+            Q = orth(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < Q.nbytes + 4 * linalg.QR_LEAF_ROWS * 60 * 8
 
 
 class TestHouseholderQR:

@@ -4,7 +4,8 @@ input, full rank or not, with zero entries, rows and columns.
 
 Each generated case runs all three variants on the dense matrix and on its
 CSC copy from the same seed. The examples are derandomized, so the suite
-is deterministic.
+is deterministic. One more property checks ``orth`` taller than one leaf
+of its tall-skinny QR against ``orth`` in one leaf.
 """
 
 import numpy as np
@@ -13,7 +14,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rowpick import VARIANTS, ArpConfig, RowpickError, arp_decompose, fro_norm, residual_fro
+from rowpick import (
+    VARIANTS,
+    ArpConfig,
+    RowpickError,
+    arp_decompose,
+    fro_norm,
+    linalg,
+    orth,
+    residual_fro,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None,
                              database=None)
@@ -103,3 +113,34 @@ def test_pivots_invariant_under_power_of_two_scaling(case, j):
                 arp_decompose(A_in * 2.0**j, cfg)
             continue
         assert arp_decompose(A_in * 2.0**j, cfg).pivots == ref.pivots
+
+
+@st.composite
+def tall_cases(draw):
+    """``(B, leaf)``: ``B`` a product of Gaussian factors of a drawn inner
+    rank, with a drawn share of zero rows, scaled by ``2**e``, and taller
+    than one leaf when ``QR_LEAF_ROWS`` is ``leaf``."""
+    n = draw(st.integers(1, 6))
+    leaf = draw(st.integers(1, 8))
+    m = draw(st.integers(max(leaf, 2 * n) + 1, 120))
+    rank = draw(st.integers(1, n))
+    zero_rows = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    scale = draw(st.sampled_from([0, -600, 600]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    B[rng.random(m) < zero_rows] = 0.0
+    return np.ldexp(B, scale), leaf
+
+
+@PROPERTY_SETTINGS
+@given(tall_cases())
+def test_orth_in_leaves_agrees_with_one_leaf(case):
+    B, leaf = case
+    one = orth(B)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "QR_LEAF_ROWS", leaf)
+        Q = orth(B)
+    r = one.shape[1]
+    assert Q.shape == one.shape
+    assert np.linalg.norm(Q.T @ Q - np.eye(r)) <= 1e-13 * max(r, 1)
+    assert np.linalg.norm(Q @ Q.T - one @ one.T) <= 1e-10

@@ -400,6 +400,26 @@ class TestRpqrSequential:
         assert len(recomputes) > draws // 4
         assert dist.total_variation(emp) < 0.02
 
+    def test_column_recomputed_at_zero_is_retired(self, monkeypatch):
+        # a recompute that reads exactly zero marks the column spent: later
+        # downdates take it below zero, and the guard must not recompute it
+        # again. The recompute is stubbed to zero so that the true residual,
+        # nonzero here, keeps the later downdates negative
+        recomputed = []
+
+        def zeros(M, cols, basis):
+            recomputed.extend(cols.tolist())
+            return np.zeros(cols.size)
+
+        monkeypatch.setattr(samplers, "_residual_norms2", zeros)
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((8, 10))
+        M = np.hstack([X, X + 1e-6 * rng.standard_normal((8, 10))])
+        for seed in range(5):
+            recomputed.clear()
+            rpqr_sequential(M, 6, np.random.default_rng(seed))
+            assert recomputed and len(recomputed) == len(set(recomputed))
+
     def test_matches_enumeration(self):
         rng = np.random.default_rng(8)
         Q = orth(rng.standard_normal((5, 2)))
