@@ -1,7 +1,7 @@
 """Pivot selection: sequential randomly pivoted QR and the block
 rejection sampler that draws volume-sampled row subsets from an
 orthonormal basis, with the appendable Householder QR of the rows it
-chooses, which only the sampler reads.
+chooses before its last round, which only the sampler reads.
 
 Both samplers own their generator stream for the duration of a call;
 independent calls with independent streams are safe to run concurrently.
@@ -136,14 +136,17 @@ def _accept_pass(H, lev, rng, accept_bias, room):
 
 
 class HouseholderQR:
-    """The block sampler's QR factorization of the columns it has absorbed,
-    the chosen rows of ``Q`` as columns of ``Q^T``, in dimension ``d``.
+    """The block sampler's QR factorization of the columns it has absorbed:
+    the rows of ``Q`` chosen before the sampler's last round, as columns of
+    ``Q^T``, in dimension ``d``.
 
     Columns are appended by :meth:`_absorb`; stored reflectors are never
     modified. The orthogonal factor ``U`` is kept implicitly as a compact
     product ``I - V T V^T`` of Householder reflectors and is never formed;
     the triangular factor is not kept, since nothing reads it. The sampler
-    reads each round's proposal residuals through :meth:`_complement_t`.
+    reads each round's proposal residuals through :meth:`_complement_t`,
+    creates the object at its first round that leaves pivots missing (a
+    call that finishes in one round never does) and drops it on return.
     Both buffers are ``d x d``.
     """
 
@@ -229,11 +232,12 @@ def rejection_rpqr(Q, rng, _accept_bias=0.0):
 
     Each round proposes ``k = Q.shape[1]`` rows iid from the leverage score
     distribution and filters them through an accept/reject pass over the
-    Gram of their residuals, keeping a :class:`HouseholderQR` of the chosen
-    rows as columns of ``Q^T``. The returned subset of ``k`` rows follows
-    the distribution with probability proportional to ``det(Q[S, :])**2``.
-    ``MAX_ROUNDS`` rounds that leave pivots missing signal a numerically
-    deficient ``Q``.
+    Gram of their residuals against the rows chosen in earlier rounds, read
+    from a :class:`HouseholderQR` of those rows as columns of ``Q^T``. The
+    rows accepted in the round that completes the set are never factored.
+    The returned subset of ``k`` rows follows the distribution with
+    probability proportional to ``det(Q[S, :])**2``. ``MAX_ROUNDS`` rounds
+    that leave pivots missing signal a numerically deficient ``Q``.
 
     Parameters
     ----------
@@ -242,10 +246,17 @@ def rejection_rpqr(Q, rng, _accept_bias=0.0):
 
     Returns
     -------
-    (PivotSet, HouseholderQR)
-        The pivots in selection order, and the sampler's internal state:
-        the reflectors of its QR of ``Q^T[:, S]``, which no other part of
-        the library reads.
+    (PivotSet, int)
+        The pivots in selection order, and the number of proposal rounds
+        drawn, between 1 and ``MAX_ROUNDS``; ``k = 1`` always takes one.
+
+    Raises
+    ------
+    MaxRoundsExceededError
+        ``MAX_ROUNDS`` rounds left pivots missing.
+    RankDeficientUpdateError
+        An accepted row repeats a chosen one, which only the test-only
+        ``_accept_bias`` corruption lets through.
     """
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     if Q.ndim != 2:
@@ -264,31 +275,39 @@ def rejection_rpqr(Q, rng, _accept_bias=0.0):
     cum = lev.cumsum()
     edges, total = cum[:-1], cum[-1]
     lev = lev.tolist()
-    qr = HouseholderQR(k)
+    qr = None  # allocated at the first round that leaves pivots missing
     chosen = []
-    for _ in range(MAX_ROUNDS):
+    rounds = 0
+    while len(chosen) < k:
+        if rounds == MAX_ROUNDS:
+            raise MaxRoundsExceededError(
+                f"{MAX_ROUNDS} proposal rounds yielded only {len(chosen)} of {k} "
+                "pivots; Q is likely numerically deficient"
+            )
+        rounds += 1
         room = k - len(chosen)
-        if not room:
-            break
         proposals = _draw_from_cumulative(edges, total, k, rng)
         cols = Q.take(proposals, axis=0).T
         # the proposals' residuals in the coordinates the reflectors leave
         # free: their Gram is that of the projected-out columns
-        C = qr._complement_t(cols) if qr.k_cur else cols
+        C = cols if qr is None else qr._complement_t(cols)
         proposals = proposals.tolist()
         accepted = _accept_pass(
             C.T @ C, [lev[t] for t in proposals], rng, _accept_bias, room
         )
         if accepted:
             new_rows = [proposals[i] for i in accepted]
-            qr._absorb(Q.take(new_rows, axis=0).T)
             chosen.extend(new_rows)
-    if len(chosen) < k:
-        raise MaxRoundsExceededError(
-            f"{MAX_ROUNDS} proposal rounds yielded only {len(chosen)} of {k} "
-            "pivots; Q is likely numerically deficient"
-        )
-    return PivotSet(chosen, m), qr
+            if len(new_rows) < room:  # only a later round reads the QR
+                if qr is None:
+                    qr = HouseholderQR(k)
+                qr._absorb(Q.take(new_rows, axis=0).T)
+    # the rows that complete the set skip the QR, and with it its refusal of
+    # a duplicate, which only a corrupted accept rule lets through
+    if len(set(chosen)) < k:
+        raise RankDeficientUpdateError(
+            f"the accepted pivots {chosen} repeat a row")
+    return PivotSet(chosen, m), rounds
 
 
 def _residual_norms2(M, cols, basis):

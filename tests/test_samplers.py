@@ -15,6 +15,7 @@ from rowpick import (
     NotOrthonormalError,
     PivotSet,
     RankDeficientError,
+    RankDeficientUpdateError,
     RowpickError,
     enumerate_volume_probs,
     orth,
@@ -26,6 +27,7 @@ from rowpick import samplers
 from rowpick.linalg import squared_row_norms
 from rowpick.samplers import (
     ACCEPT_SLACK,
+    MAX_ROUNDS,
     _accept_pass,
     _draw_from_cumulative,
     _draw_one,
@@ -278,17 +280,43 @@ class TestRejectionRpqr:
         b, _ = rejection_rpqr(Q, np.random.default_rng(77))
         np.testing.assert_array_equal(a.indices, b.indices)
 
-    def test_output_qr_consistency(self):
-        # the returned QR factors the chosen rows: U^T Q^T[:, S] is upper
-        # triangular and keeps their Gram
-        rng = np.random.default_rng(6)
-        Q = orth(rng.standard_normal((12, 4)))
-        pivots, qr = rejection_rpqr(Q, rng)
-        target = Q[pivots.indices, :].T
-        assert qr.k_cur == 4
-        R = qr._apply_product_t(target)
-        assert np.linalg.norm(np.tril(R, -1)) <= 1e-12 * np.linalg.norm(target)
-        np.testing.assert_allclose(R.T @ R, target.T @ target, atol=1e-12)
+    def test_rounds_count_the_accept_passes(self, monkeypatch):
+        # one accept pass per proposal round; k = 1 accepts its one proposal
+        # with ratio exactly 1, so it always takes one round
+        passes = []
+        real = samplers._accept_pass
+
+        def counted(*args):
+            passes.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(samplers, "_accept_pass", counted)
+        for k in (1, 2, 4, 9):
+            Q = orth(np.random.default_rng(k).standard_normal((3 * k + 2, k)))
+            for seed in range(25):
+                passes.clear()
+                pivots, rounds = rejection_rpqr(Q, np.random.default_rng(seed))
+                assert len(pivots) == k
+                assert type(rounds) is int and 1 <= rounds <= MAX_ROUNDS
+                assert rounds == len(passes)
+                if k == 1:
+                    assert rounds == 1
+
+    def test_duplicate_acceptance_refused(self):
+        # a biased accept rule takes a duplicate of a row accepted before it,
+        # in the same round or an earlier one; the sampler must refuse it
+        # with its own error, never return it or fail inside PivotSet
+        Q = np.eye(6)[:, :2]
+        refused = 0
+        for seed in range(200):
+            try:
+                pivots, _ = rejection_rpqr(Q, np.random.default_rng(seed),
+                                           _accept_bias=0.5)
+            except RankDeficientUpdateError:
+                refused += 1
+            else:
+                assert len(set(pivots)) == len(pivots) == 2
+        assert refused > 0
 
     def test_max_rounds_cap(self, monkeypatch):
         # with no rounds allowed, no pivot can be drawn
@@ -462,7 +490,8 @@ class TestSamplerAgreement:
 
 class TestPinnedDrawStreams:
     """Both samplers on the criterion 02 basis, seed 1: the pivots (in
-    selection order) and the generator state afterwards. A change to the
+    selection order), the block sampler's rounds and the generator state
+    afterwards. A change to the
     arithmetic behind an accept decision or a draw, or to how many uniforms
     a call consumes, shows up here."""
 
@@ -477,12 +506,17 @@ class TestPinnedDrawStreams:
         (4, 1), (0, 5), (0, 1), (5, 0), (4, 1), (4, 1), (1, 4), (0, 2),
     ]
 
+    # proposal rounds of each REJECTION draw, as the accept passes counted
+    # them when the sampler still factored every chosen row
+    ROUNDS = [3, 1, 1, 2, 1, 2, 2, 2, 3, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 2, 3, 2, 1]
+
     def test_streams(self):
         Q = orth(np.random.default_rng(2024).standard_normal((6, 2)))
         QT = np.ascontiguousarray(Q.T)
         rng = np.random.default_rng(1)
-        rej = [tuple(rejection_rpqr(Q, rng)[0]) for _ in self.REJECTION]
+        rej, rounds = zip(*(rejection_rpqr(Q, rng) for _ in self.REJECTION))
         seq = [tuple(rpqr_sequential(QT, 2, rng)) for _ in self.SEQUENTIAL]
-        assert rej == self.REJECTION
+        assert [tuple(p) for p in rej] == self.REJECTION
+        assert list(rounds) == self.ROUNDS
         assert seq == self.SEQUENTIAL
         assert rng.random() == 0.371854569870106

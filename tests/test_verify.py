@@ -14,6 +14,26 @@ from rowpick.cli import main
 
 DRAWS = 6000  # enough for the TV/chi-square thresholds, fast for CI
 
+# run_verify(seed=0, draws=DRAWS), byte for byte
+GOLDEN_SEED0 = (
+    'PASS  volume-probs-hand-cases            diag(2,1) k=1 and the 3x2 uniform case\n'
+    'PASS  volume-kdpp-equivalence            max per-subset gap 1.11e-16\n'
+    'PASS  volume-right-invariance            max per-subset gap 3.33e-16\n'
+    'PASS  expected-error-identity            worst relative gap 0.00e+00\n'
+    'PASS  active-regression-unbiased         worst relative gap 0.00e+00\n'
+    'PASS  active-regression-error-identity   worst relative gap 0.00e+00\n'
+    'PASS  worst-case-instance-suboptimality  k = 1..8\n'
+    'PASS  sequential-sampler-tv              TV 0.0120 at 6000 draws (limit 0.048)\n'
+    'PASS  rejection-sampler-tv               TV 0.0137 at 6000 draws (limit 0.048)\n'
+    'PASS  cross-sampler-tv                   TV 0.0168 between samplers (limit 0.068)\n'
+    'PASS  sequential-sampler-chi-square      chi-square p-value 0.8\n'
+    'PASS  rejection-sampler-chi-square       chi-square p-value 0.925\n'
+    'PASS  sketch-structure-and-exactness     20 seeded embeddings\n'
+    'PASS  interpolation-property             worst ||W[S,:] - I|| = 0.00e+00\n'
+    'PASS  projection-beats-type1-ordering    20 seeded trials\n'
+    '15/15 checks passed\n'
+)
+
 
 class TestRunVerify:
     def test_fresh_run_passes_with_enough_checks(self):
@@ -24,6 +44,12 @@ class TestRunVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) >= 12
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_report_matches_golden(self):
+        # every sampler draw the suite makes, and every figure it prints
+        buf = io.StringIO()
+        assert run_verify(seed=0, stream=buf, draws=DRAWS) == 0
+        assert buf.getvalue() == GOLDEN_SEED0
 
     def test_report_deterministic(self):
         a, b = io.StringIO(), io.StringIO()
