@@ -15,8 +15,12 @@ Q = rp.orth(rng.standard_normal((6, 2)))
 dist = rp.enumerate_volume_probs(Q, 2)
 draws = 50000
 
-rej = Counter(rp.rejection_rpqr(Q, rng)[0].as_tuple() for _ in range(draws))
-seq = Counter(rp.rpqr_sequential(Q.T, 2, rng).as_tuple() for _ in range(draws))
+# one sampler object per basis: the set-up runs once, and the draws reuse
+# the states that earlier draws reached after the same pivots
+rejection = rp.RejectionSampler(Q)
+sequential = rp.SequentialSampler(Q.T, 2)
+rej = Counter(rejection.draw(rng)[0].as_tuple() for _ in range(draws))
+seq = Counter(sequential.draw(rng).as_tuple() for _ in range(draws))
 
 print(f"{'subset':>10} {'exact':>9} {'rejection':>10} {'sequential':>11}")
 for subset in dist.support():

@@ -68,6 +68,8 @@ from .oracle import (
 )
 from .samplers import (
     PivotSet,
+    RejectionSampler,
+    SequentialSampler,
     rejection_rpqr,
     rpqr_sequential,
 )
@@ -98,7 +100,9 @@ __all__ = [
     "RaggedTableError",
     "RankDeficientError",
     "RankDeficientUpdateError",
+    "RejectionSampler",
     "RowpickError",
+    "SequentialSampler",
     "SubsetDistribution",
     "TooLargeError",
     "VARIANTS",

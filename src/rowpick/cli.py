@@ -18,7 +18,7 @@ from .bench import METHOD_ORDER, canonical_method, run_bench, run_method
 from .decompose import fro_norm, residual_fro
 from .errors import RowpickError
 from .matrices import MatrixSpec
-from .verify import run_verify
+from .verify import run_verify, verify_checks
 
 
 def _add_matrix_arg(parser):
@@ -79,6 +79,9 @@ def _build_parser():
     p_ver.add_argument("--corrupt", action="store_true",
                        help="deliberately bias the rejection sampler to "
                             "demonstrate the checks fail (testing hook)")
+    p_ver.add_argument("--json", action="store_true",
+                       help="print the checks as JSON: seed, draws and a "
+                            "list of {name, ok, detail}")
     return parser
 
 
@@ -141,6 +144,17 @@ def _cmd_bench(args):
     return 0 if failures == 0 else 1
 
 
+def _cmd_verify(args):
+    if not args.json:
+        return run_verify(seed=args.seed, corrupt=args.corrupt, draws=args.draws)
+    results = verify_checks(seed=args.seed, corrupt=args.corrupt, draws=args.draws)
+    checks = [{"name": name, "ok": bool(ok), "detail": detail}
+              for name, ok, detail in results]
+    print(json.dumps({"seed": args.seed, "draws": args.draws, "checks": checks},
+                     indent=2))
+    return 0 if all(c["ok"] for c in checks) else 1
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -150,7 +164,7 @@ def main(argv=None):
             return _cmd_decompose(args)
         if args.command == "bench":
             return _cmd_bench(args)
-        return run_verify(seed=args.seed, corrupt=args.corrupt, draws=args.draws)
+        return _cmd_verify(args)
     except (RowpickError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,23 @@ rejection sampler that draws volume-sampled row subsets from an
 orthonormal basis, with the appendable Householder QR of the rows it
 chooses before its last round, which only the sampler reads.
 
-Both samplers own their generator stream for the duration of a call;
-independent calls with independent streams are safe to run concurrently.
+Each sampler is an object built once per basis, :class:`RejectionSampler`
+(``Q``) and :class:`SequentialSampler` (``M``, ``k``), that draws one pivot
+set per ``draw(rng)``. The constructor checks the basis and computes what
+every draw reads (leverage scores or squared column norms, and their
+cumulative sum). The state a draw reaches after a pivot prefix is a
+deterministic function of that prefix, so the object keeps the states
+that later draws reach again, within ``BLOCK_ENTRIES`` float64 entries'
+worth of memory, and draws read them in place of recomputing them: a
+draw's uniforms, accept decisions, pivots and errors are those of a fresh
+object on the same generator. The first draw of an object keeps nothing.
+The objects hold a reference to the basis, not a copy, so the caller must
+not write it while an object is alive. :func:`rejection_rpqr` and
+:func:`rpqr_sequential` are one draw of a fresh object.
+
+Each draw owns its generator stream for the duration of the call; draws
+with independent streams from independent objects are safe to run
+concurrently, draws from one object are not.
 """
 
 import math
@@ -21,10 +36,11 @@ from .errors import (
     RankDeficientError,
     RankDeficientUpdateError,
 )
-from .linalg import BLOCK_ENTRIES, RANK_RTOL, _canonical, squared_row_norms
+from .linalg import BLOCK_ENTRIES, RANK_RTOL, _canonical
 
 ACCEPT_SLACK = 1e-12  # roundoff allowance on acceptance ratios
 MAX_ROUNDS = 64  # proposal rounds of the block sampler before it gives up
+_OBJECT_BYTES = 128  # prefix cache allowance: a Python object, or a key or list entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,10 +160,11 @@ class HouseholderQR:
     modified. The orthogonal factor ``U`` is kept implicitly as a compact
     product ``I - V T V^T`` of Householder reflectors and is never formed;
     the triangular factor is not kept, since nothing reads it. The sampler
-    reads each round's proposal residuals through :meth:`_complement_t`,
-    creates the object at its first round that leaves pivots missing (a
-    call that finishes in one round never does) and drops it on return.
-    Both buffers are ``d x d``.
+    reads each round's proposal residuals through :meth:`_complement_t`
+    and creates the object at its first round that leaves pivots missing
+    (a draw that finishes in one round never does). A QR the sampler's
+    prefix cache keeps is never extended again: a later draw extends a
+    :meth:`_copy`. Both buffers are ``d x d``.
     """
 
     def __init__(self, d):
@@ -155,6 +172,13 @@ class HouseholderQR:
         self.k_cur = 0
         self._V = np.zeros((d, d))  # unit-diagonal Householder vectors
         self._T = np.zeros((d, d))  # upper-triangular WY block
+
+    def _copy(self):
+        # the same factorization in buffers of its own
+        qr = HouseholderQR.__new__(HouseholderQR)
+        qr.d, qr.k_cur = self.d, self.k_cur
+        qr._V, qr._T = self._V.copy(), self._T.copy()
+        return qr
 
     def _apply_product_t(self, M):
         # (H_k ... H_1) M = M - V T^T (V^T M)
@@ -227,17 +251,210 @@ class HouseholderQR:
         T[i, i] = -v0 / beta
 
 
-def rejection_rpqr(Q, rng, _accept_bias=0.0):
-    """Draw a volume-sampled pivot set from an orthonormal-column ``Q``.
+class _Prefix:
+    """One pivot prefix in a sampler's cache: the draw that first reached
+    it, the state the sampler computes there once stored, and the prefixes
+    one step longer, by their step."""
 
-    Each round proposes ``k = Q.shape[1]`` rows iid from the leverage score
-    distribution and filters them through an accept/reject pass over the
-    Gram of their residuals against the rows chosen in earlier rounds, read
-    from a :class:`HouseholderQR` of those rows as columns of ``Q^T``. The
-    rows accepted in the round that completes the set are never factored.
-    The returned subset of ``k`` rows follows the distribution with
+    __slots__ = ("born", "state", "next")
+
+    def __init__(self, born):
+        self.born = born
+        self.state = None
+        self.next = {}
+
+
+class _PrefixCache:
+    """A sampler object's states by the pivot prefix that leads to them,
+    shared by its draws.
+
+    Each state is a deterministic function of its prefix, so a draw that
+    reads it in place of recomputing it keeps every bit. A draw that is the
+    first to reach a prefix leaves an empty node there; a later draw that
+    reaches it again stores the state it computes there, and the draws
+    after that read it. The first draw of an object records nothing, so a
+    single draw leaves the cache empty. Nodes and states together take at most
+    ``BLOCK_ENTRIES`` float64 entries' worth of bytes, each Python object
+    counted at a fixed allowance; past that nothing more is recorded, and
+    the draws compute what is missing.
+    """
+
+    __slots__ = ("root", "draws", "free")
+
+    def __init__(self):
+        self.root = None  # made by the second draw
+        self.draws = 0  # serial of the current draw
+        self.free = 8 * BLOCK_ENTRIES
+
+    def start(self):
+        """Begin a draw; returns the root prefix, or None for the first draw,
+        which could store nothing and so records nothing either."""
+        self.draws += 1
+        if self.draws == 1:
+            return None
+        if self.root is None:
+            self.root = _Prefix(0)
+        return self.root
+
+    def step(self, node, key, width):
+        """``(prefix, state)`` one step past the prefix ``node`` along
+        ``key``, a key of ``width`` entries. The prefix is None, and so is
+        the state, when this draw is the first to reach it; the draw then
+        records nothing below it."""
+        child = node.next.get(key)
+        if child is None:
+            cost = _OBJECT_BYTES * (3 + width)  # the node, its dict, the key
+            if cost <= self.free:
+                self.free -= cost
+                node.next[key] = _Prefix(self.draws)
+            return None, None
+        if child.born == self.draws:
+            return None, None
+        return child, child.state
+
+    def keep(self, node, state, nbytes):
+        """Store ``state`` at ``node``, a prefix :meth:`step` returned, if
+        ``nbytes`` fit; returns whether it did."""
+        if nbytes > self.free:
+            return False
+        self.free -= nbytes
+        node.state = state
+        return True
+
+
+class RejectionSampler:
+    """Volume-sampled pivot sets from an orthonormal-column ``Q``, one per
+    :meth:`draw`.
+
+    Each round of a draw proposes ``k = Q.shape[1]`` rows iid from the
+    leverage score distribution and filters them through an accept/reject
+    pass over the Gram of their residuals against the rows chosen in earlier
+    rounds, read from a :class:`HouseholderQR` of those rows as columns of
+    ``Q^T``. The rows accepted in the round that completes the set are never
+    factored. The returned subset of ``k`` rows follows the distribution with
     probability proportional to ``det(Q[S, :])**2``. ``MAX_ROUNDS`` rounds
     that leave pivots missing signal a numerically deficient ``Q``.
+
+    The constructor checks ``Q`` and computes its leverage scores and their
+    cumulative sum once. It keeps a reference to ``Q``, converted to a
+    C-order float64 array as the sampler reads it (no copy when it is one
+    already): the caller must not write ``Q`` while the object is alive.
+    The QR after each sequence of absorbed row blocks, and each round's Gram
+    with its leverage scores, are deterministic functions of the blocks
+    and proposals before them, so draws that revisit them read them from a
+    :class:`_PrefixCache` in place of recomputing them. Every draw consumes
+    the same uniforms, makes the same accept decisions and raises the same
+    errors as :func:`rejection_rpqr` on the same generator. One object is not
+    safe to draw from in several threads at once.
+
+    Raises
+    ------
+    DimensionMismatchError
+        ``Q`` is not 2-D or has no column.
+    NotOrthonormalError
+        The columns of ``Q`` are not orthonormal to 1e-8, or hold a NaN.
+    """
+
+    def __init__(self, Q):
+        Q = np.ascontiguousarray(Q, dtype=np.float64)
+        if Q.ndim != 2:
+            raise DimensionMismatchError("Q must be 2-D")
+        m, k = Q.shape
+        if k < 1:
+            raise DimensionMismatchError("Q must have at least one column")
+        gap = (Q.T @ Q).ravel()
+        diag = gap[:: k + 1]
+        diag -= 1.0
+        if not gap.dot(gap) <= 1e-16:  # ||Q^T Q - I||_F <= 1e-8, and no NaN
+            raise NotOrthonormalError(
+                "columns of Q are not orthonormal to 1e-8"
+            )
+        lev = np.einsum("ij,ij->i", Q, Q)  # squared row norms: leverage scores
+        cum = lev.cumsum()
+        self.Q, self.m, self.k = Q, m, k
+        self._edges, self._total = cum[:-1], cum[-1]
+        self._lev = lev.tolist()
+        self._cache = _PrefixCache()
+
+    def draw(self, rng, _accept_bias=0.0):
+        """One pivot set, drawn with ``rng``.
+
+        Returns
+        -------
+        (PivotSet, int)
+            The pivots in selection order, and the number of proposal rounds
+            drawn, between 1 and ``MAX_ROUNDS``; ``k = 1`` always takes one.
+
+        Raises
+        ------
+        MaxRoundsExceededError
+            ``MAX_ROUNDS`` rounds left pivots missing.
+        RankDeficientUpdateError
+            An accepted row repeats a chosen one, which only the test-only
+            ``_accept_bias`` corruption (see :func:`_accept_pass`) lets
+            through.
+        """
+        Q, k, lev, cache = self.Q, self.k, self._lev, self._cache
+        node = cache.start()  # the prefix of row blocks absorbed so far
+        qr = None  # allocated at the first round that leaves pivots missing
+        owned = False  # qr is this draw's to extend, not a cached state
+        chosen = []
+        rounds = 0
+        while len(chosen) < k:
+            if rounds == MAX_ROUNDS:
+                raise MaxRoundsExceededError(
+                    f"{MAX_ROUNDS} proposal rounds yielded only {len(chosen)} "
+                    f"of {k} pivots; Q is likely numerically deficient"
+                )
+            rounds += 1
+            room = k - len(chosen)
+            proposals = _draw_from_cumulative(self._edges, self._total, k, rng)
+            at = entry = None
+            if node is not None:
+                at, entry = cache.step(node, proposals.tobytes(), k)
+            if entry is None:
+                cols = Q.take(proposals, axis=0).T
+                # the proposals' residuals in the coordinates the reflectors
+                # leave free: their Gram is that of the projected-out columns
+                C = cols if qr is None else qr._complement_t(cols)
+                proposals = proposals.tolist()
+                entry = C.T @ C, [lev[t] for t in proposals], proposals
+                if at is not None:
+                    # the Gram's entries; it, the tuple, two lists and their items
+                    cache.keep(at, entry, 8 * k * k + _OBJECT_BYTES * (3 + 2 * k))
+            H, lev_p, proposals = entry
+            accepted = _accept_pass(H, lev_p, rng, _accept_bias, room)
+            if accepted:
+                new_rows = [proposals[i] for i in accepted]
+                chosen.extend(new_rows)
+                if len(new_rows) < room:  # only a later round reads the QR
+                    state = None
+                    if node is not None:
+                        node, state = cache.step(node, tuple(new_rows), len(new_rows))
+                    if state is not None:
+                        qr, owned = state, False
+                    else:
+                        if qr is None:
+                            qr = HouseholderQR(k)
+                        elif not owned:
+                            qr = qr._copy()
+                        qr._absorb(Q.take(new_rows, axis=0).T)
+                        # V and T, and the two arrays, the object and its dict
+                        owned = node is None or not cache.keep(
+                            node, qr, 16 * k * k + 4 * _OBJECT_BYTES)
+        # the rows that complete the set skip the QR, and with it its refusal
+        # of a duplicate, which only a corrupted accept rule lets through
+        if len(set(chosen)) < k:
+            raise RankDeficientUpdateError(
+                f"the accepted pivots {chosen} repeat a row")
+        return PivotSet(chosen, self.m), rounds
+
+
+def rejection_rpqr(Q, rng, _accept_bias=0.0):
+    """Draw a volume-sampled pivot set from an orthonormal-column ``Q``: one
+    draw of a fresh :class:`RejectionSampler`, which stores no state for a
+    single draw. Draw many pivot sets on one basis through one sampler
+    object instead.
 
     Parameters
     ----------
@@ -248,66 +465,13 @@ def rejection_rpqr(Q, rng, _accept_bias=0.0):
     -------
     (PivotSet, int)
         The pivots in selection order, and the number of proposal rounds
-        drawn, between 1 and ``MAX_ROUNDS``; ``k = 1`` always takes one.
+        drawn (see :meth:`RejectionSampler.draw`).
 
     Raises
     ------
-    MaxRoundsExceededError
-        ``MAX_ROUNDS`` rounds left pivots missing.
-    RankDeficientUpdateError
-        An accepted row repeats a chosen one, which only the test-only
-        ``_accept_bias`` corruption lets through.
+    The errors of :class:`RejectionSampler` and its :meth:`~RejectionSampler.draw`.
     """
-    Q = np.ascontiguousarray(Q, dtype=np.float64)
-    if Q.ndim != 2:
-        raise DimensionMismatchError("Q must be 2-D")
-    m, k = Q.shape
-    if k < 1:
-        raise DimensionMismatchError("Q must have at least one column")
-    gap = (Q.T @ Q).ravel()
-    diag = gap[:: k + 1]
-    diag -= 1.0
-    if not gap.dot(gap) <= 1e-16:  # ||Q^T Q - I||_F <= 1e-8, and no NaN
-        raise NotOrthonormalError(
-            "columns of Q are not orthonormal to 1e-8"
-        )
-    lev = squared_row_norms(Q)
-    cum = lev.cumsum()
-    edges, total = cum[:-1], cum[-1]
-    lev = lev.tolist()
-    qr = None  # allocated at the first round that leaves pivots missing
-    chosen = []
-    rounds = 0
-    while len(chosen) < k:
-        if rounds == MAX_ROUNDS:
-            raise MaxRoundsExceededError(
-                f"{MAX_ROUNDS} proposal rounds yielded only {len(chosen)} of {k} "
-                "pivots; Q is likely numerically deficient"
-            )
-        rounds += 1
-        room = k - len(chosen)
-        proposals = _draw_from_cumulative(edges, total, k, rng)
-        cols = Q.take(proposals, axis=0).T
-        # the proposals' residuals in the coordinates the reflectors leave
-        # free: their Gram is that of the projected-out columns
-        C = cols if qr is None else qr._complement_t(cols)
-        proposals = proposals.tolist()
-        accepted = _accept_pass(
-            C.T @ C, [lev[t] for t in proposals], rng, _accept_bias, room
-        )
-        if accepted:
-            new_rows = [proposals[i] for i in accepted]
-            chosen.extend(new_rows)
-            if len(new_rows) < room:  # only a later round reads the QR
-                if qr is None:
-                    qr = HouseholderQR(k)
-                qr._absorb(Q.take(new_rows, axis=0).T)
-    # the rows that complete the set skip the QR, and with it its refusal of
-    # a duplicate, which only a corrupted accept rule lets through
-    if len(set(chosen)) < k:
-        raise RankDeficientUpdateError(
-            f"the accepted pivots {chosen} repeat a row")
-    return PivotSet(chosen, m), rounds
+    return RejectionSampler(Q).draw(rng, _accept_bias)
 
 
 def _residual_norms2(M, cols, basis):
@@ -324,9 +488,9 @@ def _residual_norms2(M, cols, basis):
     return out
 
 
-def rpqr_sequential(M, k, rng):
-    """Randomly pivoted QR column selection on ``M`` (d x m), dense or
-    sparse.
+class SequentialSampler:
+    """Randomly pivoted QR column selections of ``k`` columns of ``M``
+    (d x m), dense or sparse, one per :meth:`draw`.
 
     Each step samples a column with probability proportional to its current
     squared residual norm, where the residual is what is left after
@@ -334,8 +498,8 @@ def rpqr_sequential(M, k, rng):
     left-looking: it keeps an orthonormal basis of the chosen columns,
     orthogonalizes only the drawn column against it (two Gram-Schmidt
     passes), and downdates the squared norms with that column's projection
-    ``q @ M``. ``M`` is never copied or written; sparse ``M`` is read in CSC
-    form, converted once if it comes in another.
+    ``q @ M``. Sparse ``M`` is read in CSC form, converted once if it comes
+    in another.
 
     A downdated norm that dips below 1e-8 of its value when last computed
     has lost its digits to cancellation, and is replaced by the true
@@ -344,70 +508,133 @@ def rpqr_sequential(M, k, rng):
     gets the selected columns' negative floor, so the guard never
     recomputes it again.
 
+    The constructor checks ``M`` and ``k`` and computes the squared column
+    norms, their floors and cumulative sum once. It keeps a reference to
+    ``M`` (a dense float64 ``M`` is not copied) and never writes it: the
+    caller must not write ``M`` while the object is alive. The state after
+    each pivot prefix (the squared norms, floors, cumulative sum, total and
+    basis) is a deterministic function of that prefix, so draws that
+    revisit a prefix read it from a :class:`_PrefixCache` in place of
+    recomputing it. Every draw consumes the same uniforms and raises the same
+    errors as :func:`rpqr_sequential` on the same generator. One object is
+    not safe to draw from in several threads at once.
+
     Raises
     ------
+    DimensionMismatchError
+        ``M`` is not 2-D, or ``k`` is not in ``[1, min(M.shape)]``.
     InvalidParamError
         ``M`` has a NaN or infinite entry, or a squared norm past the float
         range.
-    RankDeficientError
-        The total squared residual norm fell below ``1e-12 * ||M||_F^2``
-        before ``k`` pivots were found.
     """
-    # ndarray first: issparse's abstract-class check alone is 2% of a k=2 draw
-    sparse = not isinstance(M, np.ndarray) and sp.issparse(M)
-    if sparse:
-        M = _canonical(M, sp.csc_array).astype(np.float64, copy=False)
-    else:
-        M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise DimensionMismatchError("M must be 2-D")
-    d, m = M.shape
-    if not 1 <= k <= min(d, m):
-        raise DimensionMismatchError(f"need 1 <= k <= min{M.shape}, got {k}")
-    if sparse:
-        norms2 = M.multiply(M).sum(axis=0)
-    else:
-        norms2 = np.einsum("ij,ij->j", M, M)
-    # cancellation floor: 1e-8 of each squared norm at its last computation;
-    # selected and spent columns get a negative floor so never look stale
-    floor = 1e-8 * norms2
-    cum = norms2.cumsum()
-    total0 = total = float(cum[-1])
-    if not math.isfinite(total0):
-        raise InvalidParamError(
-            "M has a NaN or infinite entry, or a squared norm past the float range")
-    pivots = []
-    basis = None  # orthonormal rows; allocated once a later step reads it
-    while True:
-        if total <= 1e-12 * total0:
-            raise RankDeficientError(
-                f"working matrix numerically exhausted after {len(pivots)} pivots"
-            )
-        s = _draw_one(cum, total, rng)
-        pivots.append(s)
-        j = len(pivots)
-        if j == k:  # nothing reads the working state after this
-            return PivotSet(pivots, m)
-        q = M[:, [s]].toarray().ravel() if sparse else M[:, s]
-        if j > 1:
-            B = basis[: j - 1]
-            q = q - (B @ q) @ B
-            q -= (B @ q) @ B
-        q = q / math.sqrt(float(q.dot(q)))
-        proj = M.T @ q if sparse else q @ M
-        norms2 -= proj * proj
-        norms2[s] = 0.0
-        floor[s] = -1.0
-        below = norms2 < floor
-        stale = below.any()
-        if stale or j + 1 < k:  # read by the recompute or the next step
-            if basis is None:
-                basis = np.empty((k - 1, d))
-            basis[j - 1] = q
-        if stale:
-            cols = np.flatnonzero(below)
-            norms2[cols] = fresh = _residual_norms2(M, cols, basis[:j])
-            floor[cols] = np.where(fresh > 0.0, 1e-8 * fresh, -1.0)
-        np.maximum(norms2, 0.0, out=norms2)
+
+    def __init__(self, M, k):
+        # ndarray first: issparse's abstract-class check alone is 2% of a k=2 draw
+        sparse = not isinstance(M, np.ndarray) and sp.issparse(M)
+        if sparse:
+            M = _canonical(M, sp.csc_array).astype(np.float64, copy=False)
+        else:
+            M = np.asarray(M, dtype=np.float64)
+        if M.ndim != 2:
+            raise DimensionMismatchError("M must be 2-D")
+        d, m = M.shape
+        if not 1 <= k <= min(d, m):
+            raise DimensionMismatchError(f"need 1 <= k <= min{M.shape}, got {k}")
+        if sparse:
+            norms2 = M.multiply(M).sum(axis=0)
+        else:
+            norms2 = np.einsum("ij,ij->j", M, M)
+        # cancellation floor: 1e-8 of each squared norm at its last computation;
+        # selected and spent columns get a negative floor so never look stale
+        floor = 1e-8 * norms2
         cum = norms2.cumsum()
         total = float(cum[-1])
+        if not math.isfinite(total):
+            raise InvalidParamError(
+                "M has a NaN or infinite entry, or a squared norm past the float range")
+        self.M, self.k, self._sparse = M, k, sparse
+        self._total0 = total
+        self._root = norms2, floor, cum, total, None  # the state before any pivot
+        self._cache = _PrefixCache()
+
+    def draw(self, rng):
+        """One pivot set, drawn with ``rng``: the columns in selection order.
+
+        Raises
+        ------
+        RankDeficientError
+            The total squared residual norm fell below ``1e-12 * ||M||_F^2``
+            before ``k`` pivots were found.
+        """
+        M, k, sparse, cache = self.M, self.k, self._sparse, self._cache
+        d, m = M.shape
+        node = cache.start()
+        norms2, floor, cum, total, basis = self._root
+        owned = False  # the arrays are this draw's to write, not a cached state
+        pivots = []
+        while True:
+            if total <= 1e-12 * self._total0:
+                raise RankDeficientError(
+                    f"working matrix numerically exhausted after {len(pivots)} pivots"
+                )
+            s = _draw_one(cum, total, rng)
+            pivots.append(s)
+            j = len(pivots)
+            if j == k:  # nothing reads the working state after this
+                return PivotSet(pivots, m)
+            if node is not None:
+                node, state = cache.step(node, s, 1)
+                if state is not None:
+                    norms2, floor, cum, total, basis = state
+                    owned = False
+                    continue
+            q = M[:, [s]].toarray().ravel() if sparse else M[:, s]
+            if j > 1:
+                B = basis[: j - 1]
+                q = q - (B @ q) @ B
+                q -= (B @ q) @ B
+            q = q / math.sqrt(float(q.dot(q)))
+            proj = M.T @ q if sparse else q @ M
+            if owned:
+                norms2 -= proj * proj
+            else:
+                norms2 = norms2 - proj * proj
+                floor = floor.copy()
+                basis = None if basis is None else basis.copy()
+            norms2[s] = 0.0
+            floor[s] = -1.0
+            below = norms2 < floor
+            stale = below.any()
+            if stale or j + 1 < k:  # read by the recompute or the next step
+                if basis is None:
+                    basis = np.empty((k - 1, d))
+                basis[j - 1] = q
+            if stale:
+                cols = np.flatnonzero(below)
+                norms2[cols] = fresh = _residual_norms2(M, cols, basis[:j])
+                floor[cols] = np.where(fresh > 0.0, 1e-8 * fresh, -1.0)
+            np.maximum(norms2, 0.0, out=norms2)
+            cum = norms2.cumsum()
+            total = float(cum[-1])
+            # three arrays of m entries and the basis, with the tuple and float
+            owned = node is None or not cache.keep(
+                node, (norms2, floor, cum, total, basis),
+                24 * m + (0 if basis is None else basis.nbytes) + 8 * _OBJECT_BYTES)
+
+
+def rpqr_sequential(M, k, rng):
+    """Randomly pivoted QR column selection of ``k`` columns of ``M`` (d x m),
+    dense or sparse: one draw of a fresh :class:`SequentialSampler`, which
+    stores no state for a single draw and never copies or writes ``M``.
+    Draw many selections on one ``M`` through one sampler object instead.
+
+    Returns
+    -------
+    PivotSet
+        The columns in selection order.
+
+    Raises
+    ------
+    The errors of :class:`SequentialSampler` and its :meth:`~SequentialSampler.draw`.
+    """
+    return SequentialSampler(M, k).draw(rng)

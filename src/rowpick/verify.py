@@ -1,8 +1,15 @@
 """Self-check suite: replays the library's distributional and expectation
-identities against the enumeration oracle and prints a pass/fail table.
+identities against the enumeration oracle. :func:`verify_checks` returns
+the outcomes, and :func:`run_verify` prints them as a pass/fail table.
 
 Every check derives its generator from the master seed and its position in
-the suite, so a fixed seed reproduces the report byte for byte.
+the suite, so a fixed seed reproduces the report byte for byte. Each
+sampler check builds one :class:`~rowpick.samplers.SequentialSampler` and
+one :class:`~rowpick.samplers.RejectionSampler` on its basis and makes
+every draw through them, so the set-up runs once per basis and the draws
+reuse the states earlier draws reached; the draws are those of as many
+calls of :func:`~rowpick.samplers.rpqr_sequential` and
+:func:`~rowpick.samplers.rejection_rpqr`, bit for bit.
 """
 
 import sys
@@ -20,7 +27,7 @@ from .oracle import (
     enumerate_volume_probs,
     expected_type1_error,
 )
-from .samplers import rejection_rpqr, rpqr_sequential
+from .samplers import RejectionSampler, SequentialSampler
 from .sketch import sketch_apply, sparse_sign_embedding
 
 SAMPLER_DRAWS = 30000
@@ -122,13 +129,20 @@ def _check_optimality_range(rng):
     return not bad, "k = 1..8" if not bad else f"failed at k={bad}"
 
 
-def _sampler_setup(rng):
+def _sampler_setup(rng, bias):
+    """A 6x2 basis's volume-sampling law and one draw function per sampler.
+    Each draws through one sampler object on the basis, so the draws share
+    its set-up and the states earlier draws reached."""
     Q = orth(rng.standard_normal((6, 2)))
-    return Q, enumerate_volume_probs(Q, 2)
+    seq = SequentialSampler(Q.T, 2)
+    rej = RejectionSampler(Q)
+    return (enumerate_volume_probs(Q, 2), lambda: seq.draw(rng).as_tuple(),
+            lambda: rej.draw(rng, _accept_bias=bias)[0].as_tuple())
 
 
-def run_verify(seed=0, corrupt=False, stream=None, draws=SAMPLER_DRAWS):
-    """Run the full suite; print one line per check; return 0 iff all pass.
+def verify_checks(seed=0, corrupt=False, draws=SAMPLER_DRAWS):
+    """Run the full suite; return its outcomes, in order, as
+    ``(name, ok, detail)`` triples.
 
     The distribution checks' total-variation limits scale with ``draws``
     (sampling noise decays like ``draws**-0.5``), so lowering the draw
@@ -138,7 +152,6 @@ def run_verify(seed=0, corrupt=False, stream=None, draws=SAMPLER_DRAWS):
     comparison to a slack one (a deliberate bug) to demonstrate that the
     distribution checks catch it.
     """
-    stream = sys.stdout if stream is None else stream
     bias = 0.05 if corrupt else 0.0
     results = []
 
@@ -164,53 +177,34 @@ def run_verify(seed=0, corrupt=False, stream=None, draws=SAMPLER_DRAWS):
     check("worst-case-instance-suboptimality", _check_optimality_range)
 
     def seq_tv(rng):
-        Q, dist = _sampler_setup(rng)
-        emp = _empirical(
-            lambda: rpqr_sequential(Q.T, 2, rng).as_tuple(), draws
-        )
-        tv = dist.total_variation(emp)
+        dist, seq, _ = _sampler_setup(rng, bias)
+        tv = dist.total_variation(_empirical(seq, draws))
         limit = _tv_limit(draws)
         return tv < limit, f"TV {tv:.4f} at {draws} draws (limit {limit:.3f})"
 
     def rej_tv(rng):
-        Q, dist = _sampler_setup(rng)
-        emp = _empirical(
-            lambda: rejection_rpqr(Q, rng, _accept_bias=bias)[0].as_tuple(),
-            draws,
-        )
-        tv = dist.total_variation(emp)
+        dist, _, rej = _sampler_setup(rng, bias)
+        tv = dist.total_variation(_empirical(rej, draws))
         limit = _tv_limit(draws)
         return tv < limit, f"TV {tv:.4f} at {draws} draws (limit {limit:.3f})"
 
     def cross_tv(rng):
-        Q, _ = _sampler_setup(rng)
-        emp_a = _empirical(
-            lambda: rpqr_sequential(Q.T, 2, rng).as_tuple(), draws
-        )
-        emp_b = _empirical(
-            lambda: rejection_rpqr(Q, rng, _accept_bias=bias)[0].as_tuple(),
-            draws,
-        )
+        _, seq, rej = _sampler_setup(rng, bias)
+        emp_a = _empirical(seq, draws)
+        emp_b = _empirical(rej, draws)
         keys = set(emp_a) | set(emp_b)
         tv = 0.5 * sum(abs(emp_a.get(t, 0.0) - emp_b.get(t, 0.0)) for t in keys)
         limit = _tv_limit(draws, pair=True)
         return tv < limit, f"TV {tv:.4f} between samplers (limit {limit:.3f})"
 
     def seq_chi2(rng):
-        Q, dist = _sampler_setup(rng)
-        emp = _empirical(
-            lambda: rpqr_sequential(Q.T, 2, rng).as_tuple(), draws
-        )
-        p = _chi_square_pvalue(dist, emp, draws)
+        dist, seq, _ = _sampler_setup(rng, bias)
+        p = _chi_square_pvalue(dist, _empirical(seq, draws), draws)
         return p > 1e-9, f"chi-square p-value {p:.3g}"
 
     def rej_chi2(rng):
-        Q, dist = _sampler_setup(rng)
-        emp = _empirical(
-            lambda: rejection_rpqr(Q, rng, _accept_bias=bias)[0].as_tuple(),
-            draws,
-        )
-        p = _chi_square_pvalue(dist, emp, draws)
+        dist, _, rej = _sampler_setup(rng, bias)
+        p = _chi_square_pvalue(dist, _empirical(rej, draws), draws)
         return p > 1e-9, f"chi-square p-value {p:.3g}"
 
     check("sequential-sampler-tv", seq_tv)
@@ -265,6 +259,14 @@ def run_verify(seed=0, corrupt=False, stream=None, draws=SAMPLER_DRAWS):
     check("interpolation-property", interpolation_check)
     check("projection-beats-type1-ordering", ordering_check)
 
+    return results
+
+
+def run_verify(seed=0, corrupt=False, stream=None, draws=SAMPLER_DRAWS):
+    """Run the full suite (see :func:`verify_checks`); print one line per
+    check and the count passed; return 0 iff all pass."""
+    stream = sys.stdout if stream is None else stream
+    results = verify_checks(seed, corrupt, draws)
     width = max(len(name) for name, _, _ in results)
     failures = 0
     for name, ok, detail in results:

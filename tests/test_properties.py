@@ -5,7 +5,9 @@ input, full rank or not, with zero entries, rows and columns.
 Each generated case runs all three variants on the dense matrix and on its
 CSC copy from the same seed. The examples are derandomized, so the suite
 is deterministic. One more property checks ``orth`` taller than one leaf
-of its tall-skinny QR against ``orth`` in one leaf.
+of its tall-skinny QR against ``orth`` in one leaf, and the last that
+draws from one sampler object are the draws of as many calls of the
+sampler's function form.
 """
 
 import numpy as np
@@ -17,12 +19,17 @@ from hypothesis import strategies as st
 from rowpick import (
     VARIANTS,
     ArpConfig,
+    RejectionSampler,
     RowpickError,
+    SequentialSampler,
     arp_decompose,
     fro_norm,
     linalg,
     orth,
+    rejection_rpqr,
     residual_fro,
+    rpqr_sequential,
+    samplers,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None,
@@ -144,3 +151,64 @@ def test_orth_in_leaves_agrees_with_one_leaf(case):
     assert Q.shape == one.shape
     assert np.linalg.norm(Q.T @ Q - np.eye(r)) <= 1e-13 * max(r, 1)
     assert np.linalg.norm(Q @ Q.T - one @ one.T) <= 1e-10
+
+
+@st.composite
+def sampler_cases(draw):
+    """``(Q, M, k, bias, max_rounds, cap, seed)`` on small bases: ``Q`` (at
+    most 12 x 4) orthonormal, from rows repeated and zeroed at drawn
+    shares; ``M`` (at most 6 x 12, dense or CSC) of a drawn inner rank with
+    zeroed and repeated columns, so it may have less rank than ``k``; a
+    test-only accept bias, a round cap and a cache cap, each at its default
+    or one that binds."""
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((m, draw(st.integers(1, min(m, 4)))))
+    X = X[rng.integers(0, draw(st.integers(1, m)), m)]  # repeated rows
+    X[rng.random(m) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if not X.any():
+        X[0] = 1.0
+    Q = orth(X)
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(d, m, 4)))
+    rank = draw(st.integers(1, min(d, m)))
+    M = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, m))
+    M = M[:, rng.integers(0, m, m)]  # repeated columns
+    M[:, rng.random(m) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    if draw(st.booleans()):
+        M = sp.csc_array(M)
+    bias = draw(st.sampled_from([0.0, 0.0, 0.05, 0.5]))
+    max_rounds = draw(st.sampled_from([samplers.MAX_ROUNDS, 1, 2]))
+    cap = draw(st.sampled_from([samplers.BLOCK_ENTRIES, 2**9]))
+    return Q, M, k, bias, max_rounds, cap, draw(st.integers(0, 2**32 - 1))
+
+
+def _stream(draw_one, rng, n=60):
+    """``n`` outcomes of ``draw_one(rng)``, pivots in selection order (with
+    the rejection sampler's rounds) or, for a draw that raises, the error's
+    type and message; and the generator state after them."""
+    out = []
+    for _ in range(n):
+        try:
+            out.append(draw_one(rng))
+        except RowpickError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out, rng.bit_generator.state
+
+
+@PROPERTY_SETTINGS
+@given(sampler_cases())
+def test_sampler_objects_draw_the_function_streams(case):
+    Q, M, k, bias, max_rounds, cap, seed = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(samplers, "MAX_ROUNDS", max_rounds)
+        mp.setattr(samplers, "BLOCK_ENTRIES", cap)
+        rej = RejectionSampler(Q)
+        seq = SequentialSampler(M, k)
+        for one, many in [
+            (lambda rng: rejection_rpqr(Q, rng, _accept_bias=bias),
+             lambda rng: rej.draw(rng, _accept_bias=bias)),
+            (lambda rng: rpqr_sequential(M, k, rng), seq.draw),
+        ]:
+            want = _stream(one, np.random.default_rng(seed))
+            assert _stream(many, np.random.default_rng(seed)) == want

@@ -1,8 +1,10 @@
-"""Sampler tests: multinomial draws, the block accept/reject pass, and the
+"""Sampler tests: multinomial draws, the block accept/reject pass, the
 distributional agreement of both pivot samplers with the enumeration
-oracle."""
+oracle, and the memory of the sampler objects' prefix caches."""
 
+import gc
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,8 +18,11 @@ from rowpick import (
     PivotSet,
     RankDeficientError,
     RankDeficientUpdateError,
+    RejectionSampler,
     RowpickError,
+    SequentialSampler,
     enumerate_volume_probs,
+    gen_decay_sparse,
     orth,
     rejection_rpqr,
     rpqr_sequential,
@@ -511,12 +516,86 @@ class TestPinnedDrawStreams:
     ROUNDS = [3, 1, 1, 2, 1, 2, 2, 2, 3, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 2, 3, 2, 1]
 
     def test_streams(self):
+        self.check(lambda Q: lambda rng: rejection_rpqr(Q, rng),
+                   lambda QT: lambda rng: rpqr_sequential(QT, 2, rng))
+
+    def test_streams_through_sampler_objects(self):
+        # one object per sampler for all the draws, as verify makes them
+        self.check(lambda Q: RejectionSampler(Q).draw,
+                   lambda QT: SequentialSampler(QT, 2).draw)
+
+    def check(self, rejection, sequential):
         Q = orth(np.random.default_rng(2024).standard_normal((6, 2)))
-        QT = np.ascontiguousarray(Q.T)
+        rej_draw = rejection(Q)
+        seq_draw = sequential(np.ascontiguousarray(Q.T))
         rng = np.random.default_rng(1)
-        rej, rounds = zip(*(rejection_rpqr(Q, rng) for _ in self.REJECTION))
-        seq = [tuple(rpqr_sequential(QT, 2, rng)) for _ in self.SEQUENTIAL]
+        rej, rounds = zip(*(rej_draw(rng) for _ in self.REJECTION))
+        seq = [tuple(seq_draw(rng)) for _ in self.SEQUENTIAL]
         assert [tuple(p) for p in rej] == self.REJECTION
         assert list(rounds) == self.ROUNDS
         assert seq == self.SEQUENTIAL
         assert rng.random() == 0.371854569870106
+
+
+class TestSamplerObjects:
+    """Draws that read and extend cached states keep the function forms'
+    streams; a single draw stores no state, whatever the cache cap, and
+    many draws keep the cache within ``BLOCK_ENTRIES`` float64 entries."""
+
+    def test_cached_states_are_extended_on_copies(self, monkeypatch):
+        # at k=4 on 6 rows, later draws read cached QRs and norms and extend
+        # them; a cached state written in place would change later draws
+        copies = []
+        real = samplers.HouseholderQR._copy
+        monkeypatch.setattr(samplers.HouseholderQR, "_copy",
+                            lambda qr: copies.append(1) or real(qr))
+        Q = orth(np.random.default_rng(64).standard_normal((6, 4)))
+        rej, seq = RejectionSampler(Q), SequentialSampler(Q.T, 4)
+        a, b = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(300):
+            assert rej.draw(a) == rejection_rpqr(Q, b)
+            assert seq.draw(a) == rpqr_sequential(Q.T, 4, b)
+        assert copies  # a cached QR was extended
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @staticmethod
+    def peak_mib(call):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_single_draw_stores_nothing(self, block_entries):
+        block_entries(2**28)  # a cap that never binds
+        Q = orth(np.random.default_rng(0).standard_normal((40000, 60)))
+        M = gen_decay_sparse(20000, 2000, 30, np.random.default_rng(1)).T
+        # the function forms' peaks before the sampler objects existed were
+        # 1.86 and 3.65 MiB
+        assert self.peak_mib(lambda: rejection_rpqr(Q, np.random.default_rng(2))) <= 1.95
+        assert self.peak_mib(lambda: rpqr_sequential(M, 60, np.random.default_rng(2))) <= 3.85
+        for sampler in (RejectionSampler(Q), SequentialSampler(M, 60)):
+            sampler.draw(np.random.default_rng(3))
+            assert sampler._cache.root is None
+            assert sampler._cache.free == 8 * 2**28
+
+    def test_many_draws_stay_within_the_cap(self, block_entries):
+        cap = 2**14
+        block_entries(cap)
+        Q = orth(np.random.default_rng(4).standard_normal((200, 10)))
+        rng = np.random.default_rng(5)
+        for sampler in (RejectionSampler(Q), SequentialSampler(Q.T, 10)):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in range(400):
+                    sampler.draw(rng)
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert sampler._cache.free < 8 * cap // 20  # the cap binds
+            assert held <= 8 * cap

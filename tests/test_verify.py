@@ -127,6 +127,18 @@ class TestCli:
         )
         assert status == 1
 
+    def test_verify_json_flag(self, capsys):
+        # the checks of the text report, as JSON
+        assert main(["verify", "--seed", "0", "--draws", str(DRAWS), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["seed"], report["draws"]) == (0, DRAWS)
+        golden = [line.split(maxsplit=2) for line in GOLDEN_SEED0.splitlines()[:-1]]
+        assert [["PASS" if c["ok"] else "FAIL", c["name"], c["detail"]]
+                for c in report["checks"]] == golden
+        assert main(["verify", "--draws", "2000", "--corrupt", "--json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert any(not c["ok"] and "rejection" in c["name"] for c in checks)
+
     def test_gen_and_decompose_roundtrip(self, tmp_path, capsys):
         target = tmp_path / "m.npy"
         assert main([
