@@ -15,8 +15,8 @@ Q = rp.orth(rng.standard_normal((6, 2)))
 dist = rp.enumerate_volume_probs(Q, 2)
 draws = 50000
 
-# one sampler object per basis: the set-up runs once, and the draws reuse
-# the states that earlier draws reached after the same pivots
+# one sampler object per basis: the set-up runs once, and the draws read
+# the states that earlier draws stored after the same pivots
 rejection = rp.RejectionSampler(Q)
 sequential = rp.SequentialSampler(Q.T, 2)
 rej = Counter(rejection.draw(rng)[0].as_tuple() for _ in range(draws))

@@ -47,7 +47,6 @@ from .linalg import (
     RANK_RTOL,
     apply_pinv_right,
     orth,
-    squared_row_norms,
     svd_pinv_apply,
 )
 from .matrices import (
@@ -131,7 +130,6 @@ __all__ = [
     "select_pivots",
     "sketch_apply",
     "sparse_sign_embedding",
-    "squared_row_norms",
     "summarize_records",
     "svd_pinv_apply",
     "write_records_csv",

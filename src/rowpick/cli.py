@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .bench import METHOD_ORDER, canonical_method, run_bench, run_method
 from .decompose import fro_norm, residual_fro
-from .errors import RowpickError
+from .errors import InvalidParamError, RowpickError
 from .matrices import MatrixSpec
 from .verify import run_verify, verify_checks
 
@@ -131,7 +131,11 @@ def _cmd_decompose(args):
 
 def _cmd_bench(args):
     spec = MatrixSpec.parse(args.matrix, full_scale=args.full_scale)
-    k_list = [int(v) for v in args.k.split(",") if v.strip()]
+    try:
+        k_list = [int(v) for v in args.k.split(",") if v.strip()]
+    except ValueError:
+        raise InvalidParamError(
+            f"--k must be a comma-separated list of integers, got {args.k!r}") from None
     methods = [v.strip() for v in args.method.split(",") if v.strip()]
     seeds = [args.seed + t for t in range(args.trials)]
     records = run_bench(

@@ -61,12 +61,13 @@ class ArpConfig:
     seed: object = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParamError("k must be >= 1")
-        if self.zeta < 1:
-            raise InvalidParamError("zeta must be >= 1")
-        if self.oversample < 1.0:
-            raise InvalidParamError("oversample must be >= 1")
+        for name in ("k", "zeta"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise InvalidParamError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 1.0 <= self.oversample < math.inf:
+            raise InvalidParamError(
+                f"oversample must be finite and >= 1, got {self.oversample!r}")
         if self.variant not in VARIANTS:
             raise InvalidParamError(f"variant must be one of {VARIANTS}")
 

@@ -1,5 +1,5 @@
-"""Dense matrix kernels: orthonormalization, leverage scores, and stable
-pseudoinverse application.
+"""Dense matrix kernels: orthonormalization and stable pseudoinverse
+application.
 
 Conventions used throughout the library:
 
@@ -214,16 +214,6 @@ def _tsqr(B, leaf):
         np.negative(V @ (T @ (V[:n].T @ Qh)), out=V)
         V[:n] += Qh
     return Q, R
-
-
-def squared_row_norms(Q):
-    """Entry ``j`` is ``||Q[j, :]||^2``.
-
-    For ``Q`` with orthonormal columns these are the leverage scores and sum
-    to the number of columns.
-    """
-    Q = _as_matrix(Q, "Q")
-    return np.einsum("ij,ij->i", Q, Q)
 
 
 def apply_pinv_right(A, B):

@@ -200,6 +200,8 @@ class MatrixSpec:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise InvalidParamError(f"{name} must be positive")
+        if self.seed < 0:
+            raise InvalidParamError(f"seed must be >= 0, got {self.seed}")
         if self.kind in ("geo-file", "file") and not self.path:
             raise InvalidParamError(f"kind {self.kind!r} requires a path")
 
@@ -224,15 +226,15 @@ class MatrixSpec:
         scale = 1 if full_scale else 0
         if kind == "dense-decay":
             dm, dn = _DENSE_SIZES[scale]
-            return cls(kind, m=int(kv.pop("m", dm)), n=int(kv.pop("n", dn)),
-                       seed=int(kv.pop("seed", 0)), **_reject_extra(kv))
+            return cls(kind, m=_pop_int(kv, "m", dm), n=_pop_int(kv, "n", dn),
+                       seed=_pop_int(kv, "seed", 0), **_reject_extra(kv))
         if kind == "sparse-decay":
             dm, dn, dnnz = _SPARSE_SIZES[scale]
-            return cls(kind, m=int(kv.pop("m", dm)), n=int(kv.pop("n", dn)),
-                       nnz_per_col=int(kv.pop("nnz", dnnz)),
-                       seed=int(kv.pop("seed", 0)), **_reject_extra(kv))
+            return cls(kind, m=_pop_int(kv, "m", dm), n=_pop_int(kv, "n", dn),
+                       nnz_per_col=_pop_int(kv, "nnz", dnnz),
+                       seed=_pop_int(kv, "seed", 0), **_reject_extra(kv))
         if kind == "kernel":
-            return cls(kind, grid_side=int(kv.pop("g", _KERNEL_SIDES[scale])),
+            return cls(kind, grid_side=_pop_int(kv, "g", _KERNEL_SIDES[scale]),
                        **_reject_extra(kv))
         if kind in ("geo-file", "file"):
             path = kv.pop("path", None)
@@ -268,6 +270,15 @@ class MatrixSpec:
         if arr.ndim != 2:
             raise DimensionMismatchError(f"{self.path} does not hold a 2-D array")
         return arr
+
+
+def _pop_int(kv, key, default):
+    value = kv.pop(key, default)
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidParamError(
+            f"descriptor field {key}={value!r} is not an integer") from None
 
 
 def _reject_extra(kv):

@@ -7,15 +7,15 @@ Each sampler is an object built once per basis, :class:`RejectionSampler`
 (``Q``) and :class:`SequentialSampler` (``M``, ``k``), that draws one pivot
 set per ``draw(rng)``. The constructor checks the basis and computes what
 every draw reads (leverage scores or squared column norms, and their
-cumulative sum). The state a draw reaches after a pivot prefix is a
-deterministic function of that prefix, so the object keeps the states
-that later draws reach again, within ``BLOCK_ENTRIES`` float64 entries'
-worth of memory, and draws read them in place of recomputing them: a
-draw's uniforms, accept decisions, pivots and errors are those of a fresh
-object on the same generator. The first draw of an object keeps nothing.
-The objects hold a reference to the basis, not a copy, so the caller must
-not write it while an object is alive. :func:`rejection_rpqr` and
-:func:`rpqr_sequential` are one draw of a fresh object.
+cumulative sum). Every draw after an object's first stores what it reads
+to choose at each step by the pivots before it, which determine it (see
+:class:`_StateStore`), and later draws read it in place of recomputing it;
+the working factorization is always the draw's own. A draw's uniforms,
+accept decisions, pivots and errors are those of a fresh object on the
+same generator. The objects hold a reference to the basis, not a copy, so
+the caller must not write it while an object is alive.
+:func:`rejection_rpqr` and :func:`rpqr_sequential` are one draw of a fresh
+object, which stores nothing.
 
 Each draw owns its generator stream for the duration of the call; draws
 with independent streams from independent objects are safe to run
@@ -40,7 +40,7 @@ from .linalg import BLOCK_ENTRIES, RANK_RTOL, _canonical
 
 ACCEPT_SLACK = 1e-12  # roundoff allowance on acceptance ratios
 MAX_ROUNDS = 64  # proposal rounds of the block sampler before it gives up
-_OBJECT_BYTES = 128  # prefix cache allowance: a Python object, or a key or list entry
+_OBJECT_BYTES = 128  # state store allowance: a Python object, or a key or list entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,11 +160,12 @@ class HouseholderQR:
     modified. The orthogonal factor ``U`` is kept implicitly as a compact
     product ``I - V T V^T`` of Householder reflectors and is never formed;
     the triangular factor is not kept, since nothing reads it. The sampler
-    reads each round's proposal residuals through :meth:`_complement_t`
-    and creates the object at its first round that leaves pivots missing
-    (a draw that finishes in one round never does). A QR the sampler's
-    prefix cache keeps is never extended again: a later draw extends a
-    :meth:`_copy`. Both buffers are ``d x d``.
+    reads each round's proposal residuals through :meth:`_complement_t`.
+    Each draw builds its own, at the first round after an acceptance whose
+    Gram is not stored, and absorbs the accepted row blocks in the order
+    they were chosen, so a draw that finishes in one round, or reads every
+    later round's Gram from the store, factors nothing. Both buffers are
+    ``d x d``.
     """
 
     def __init__(self, d):
@@ -172,13 +173,6 @@ class HouseholderQR:
         self.k_cur = 0
         self._V = np.zeros((d, d))  # unit-diagonal Householder vectors
         self._T = np.zeros((d, d))  # upper-triangular WY block
-
-    def _copy(self):
-        # the same factorization in buffers of its own
-        qr = HouseholderQR.__new__(HouseholderQR)
-        qr.d, qr.k_cur = self.d, self.k_cur
-        qr._V, qr._T = self._V.copy(), self._T.copy()
-        return qr
 
     def _apply_product_t(self, M):
         # (H_k ... H_1) M = M - V T^T (V^T M)
@@ -251,75 +245,32 @@ class HouseholderQR:
         T[i, i] = -v0 / beta
 
 
-class _Prefix:
-    """One pivot prefix in a sampler's cache: the draw that first reached
-    it, the state the sampler computes there once stored, and the prefixes
-    one step longer, by their step."""
+class _StateStore:
+    """What a sampler object's draws read to choose, by the pivot prefix
+    that determines it, shared by its draws.
 
-    __slots__ = ("born", "state", "next")
-
-    def __init__(self, born):
-        self.born = born
-        self.state = None
-        self.next = {}
-
-
-class _PrefixCache:
-    """A sampler object's states by the pivot prefix that leads to them,
-    shared by its draws.
-
-    Each state is a deterministic function of its prefix, so a draw that
-    reads it in place of recomputing it keeps every bit. A draw that is the
-    first to reach a prefix leaves an empty node there; a later draw that
-    reaches it again stores the state it computes there, and the draws
-    after that read it. The first draw of an object records nothing, so a
-    single draw leaves the cache empty. Nodes and states together take at most
-    ``BLOCK_ENTRIES`` float64 entries' worth of bytes, each Python object
-    counted at a fixed allowance; past that nothing more is recorded, and
-    the draws compute what is missing.
+    Each state is a deterministic function of its key, so a draw that reads
+    it in place of recomputing it keeps every bit. An object's first draw
+    stores nothing, so a single draw leaves the store empty; every later
+    draw stores what it computes while ``BLOCK_ENTRIES`` float64 entries'
+    worth of bytes last, each Python object counted at a fixed allowance.
+    Past that nothing more is stored, and the draws compute what is
+    missing. Stored arrays are never written.
     """
 
-    __slots__ = ("root", "draws", "free")
+    __slots__ = ("states", "draws", "free")
 
     def __init__(self):
-        self.root = None  # made by the second draw
-        self.draws = 0  # serial of the current draw
+        self.states = {}
+        self.draws = 0  # draws begun, counted by the sampler
         self.free = 8 * BLOCK_ENTRIES
 
-    def start(self):
-        """Begin a draw; returns the root prefix, or None for the first draw,
-        which could store nothing and so records nothing either."""
-        self.draws += 1
-        if self.draws == 1:
-            return None
-        if self.root is None:
-            self.root = _Prefix(0)
-        return self.root
-
-    def step(self, node, key, width):
-        """``(prefix, state)`` one step past the prefix ``node`` along
-        ``key``, a key of ``width`` entries. The prefix is None, and so is
-        the state, when this draw is the first to reach it; the draw then
-        records nothing below it."""
-        child = node.next.get(key)
-        if child is None:
-            cost = _OBJECT_BYTES * (3 + width)  # the node, its dict, the key
-            if cost <= self.free:
-                self.free -= cost
-                node.next[key] = _Prefix(self.draws)
-            return None, None
-        if child.born == self.draws:
-            return None, None
-        return child, child.state
-
-    def keep(self, node, state, nbytes):
-        """Store ``state`` at ``node``, a prefix :meth:`step` returned, if
-        ``nbytes`` fit; returns whether it did."""
-        if nbytes > self.free:
-            return False
-        self.free -= nbytes
-        node.state = state
-        return True
+    def keep(self, key, state, nbytes):
+        """Store ``state`` under ``key`` unless this is the object's first
+        draw or ``nbytes`` do not fit."""
+        if self.draws > 1 and nbytes <= self.free:
+            self.free -= nbytes
+            self.states[key] = state
 
 
 class RejectionSampler:
@@ -339,13 +290,14 @@ class RejectionSampler:
     cumulative sum once. It keeps a reference to ``Q``, converted to a
     C-order float64 array as the sampler reads it (no copy when it is one
     already): the caller must not write ``Q`` while the object is alive.
-    The QR after each sequence of absorbed row blocks, and each round's Gram
-    with its leverage scores, are deterministic functions of the blocks
-    and proposals before them, so draws that revisit them read them from a
-    :class:`_PrefixCache` in place of recomputing them. Every draw consumes
-    the same uniforms, makes the same accept decisions and raises the same
-    errors as :func:`rejection_rpqr` on the same generator. One object is not
-    safe to draw from in several threads at once.
+    Each round's Gram, with its proposals and their leverage scores, is a
+    deterministic function of the row blocks absorbed before it and of its
+    proposals, so the object stores it by them (see :class:`_StateStore`)
+    and later draws read it; a draw factors the blocks it has absorbed only
+    when a round's Gram is missing. Every draw consumes the same uniforms,
+    makes the same accept decisions and raises the same errors as
+    :func:`rejection_rpqr` on the same generator. One object is not safe to
+    draw from in several threads at once.
 
     Raises
     ------
@@ -374,7 +326,7 @@ class RejectionSampler:
         self.Q, self.m, self.k = Q, m, k
         self._edges, self._total = cum[:-1], cum[-1]
         self._lev = lev.tolist()
-        self._cache = _PrefixCache()
+        self._store = _StateStore()
 
     def draw(self, rng, _accept_bias=0.0):
         """One pivot set, drawn with ``rng``.
@@ -392,12 +344,15 @@ class RejectionSampler:
         RankDeficientUpdateError
             An accepted row repeats a chosen one, which only the test-only
             ``_accept_bias`` corruption (see :func:`_accept_pass`) lets
-            through.
+            through. A repeat accepted in a round that leaves pivots missing
+            is refused when a later round's Gram is computed, after that
+            round's proposals are drawn.
         """
-        Q, k, lev, cache = self.Q, self.k, self._lev, self._cache
-        node = cache.start()  # the prefix of row blocks absorbed so far
-        qr = None  # allocated at the first round that leaves pivots missing
-        owned = False  # qr is this draw's to extend, not a cached state
+        Q, k, lev, store = self.Q, self.k, self._lev, self._store
+        store.draws += 1
+        blocks = ()  # the accepted row blocks, as a nested prefix
+        pending = []  # the blocks this draw's QR has not absorbed yet
+        qr = None
         chosen = []
         rounds = 0
         while len(chosen) < k:
@@ -407,41 +362,32 @@ class RejectionSampler:
                     f"of {k} pivots; Q is likely numerically deficient"
                 )
             rounds += 1
-            room = k - len(chosen)
             proposals = _draw_from_cumulative(self._edges, self._total, k, rng)
-            at = entry = None
-            if node is not None:
-                at, entry = cache.step(node, proposals.tobytes(), k)
+            key = blocks, proposals.tobytes()
+            entry = store.states.get(key)
             if entry is None:
-                cols = Q.take(proposals, axis=0).T
-                # the proposals' residuals in the coordinates the reflectors
-                # leave free: their Gram is that of the projected-out columns
-                C = cols if qr is None else qr._complement_t(cols)
+                C = Q.take(proposals, axis=0).T
+                if blocks:
+                    if qr is None:
+                        qr = HouseholderQR(k)
+                    for rows in pending:
+                        qr._absorb(Q.take(rows, axis=0).T)
+                    pending.clear()
+                    # the proposals' residuals in the coordinates the
+                    # reflectors leave free: their Gram is that of the
+                    # projected-out columns
+                    C = qr._complement_t(C)
                 proposals = proposals.tolist()
                 entry = C.T @ C, [lev[t] for t in proposals], proposals
-                if at is not None:
-                    # the Gram's entries; it, the tuple, two lists and their items
-                    cache.keep(at, entry, 8 * k * k + _OBJECT_BYTES * (3 + 2 * k))
+                # the Gram's entries; it, the key, the tuple, two lists and their items
+                store.keep(key, entry, 8 * k * k + _OBJECT_BYTES * (6 + 3 * k))
             H, lev_p, proposals = entry
-            accepted = _accept_pass(H, lev_p, rng, _accept_bias, room)
+            accepted = _accept_pass(H, lev_p, rng, _accept_bias, k - len(chosen))
             if accepted:
                 new_rows = [proposals[i] for i in accepted]
                 chosen.extend(new_rows)
-                if len(new_rows) < room:  # only a later round reads the QR
-                    state = None
-                    if node is not None:
-                        node, state = cache.step(node, tuple(new_rows), len(new_rows))
-                    if state is not None:
-                        qr, owned = state, False
-                    else:
-                        if qr is None:
-                            qr = HouseholderQR(k)
-                        elif not owned:
-                            qr = qr._copy()
-                        qr._absorb(Q.take(new_rows, axis=0).T)
-                        # V and T, and the two arrays, the object and its dict
-                        owned = node is None or not cache.keep(
-                            node, qr, 16 * k * k + 4 * _OBJECT_BYTES)
+                blocks = blocks, tuple(new_rows)
+                pending.append(new_rows)
         # the rows that complete the set skip the QR, and with it its refusal
         # of a duplicate, which only a corrupted accept rule lets through
         if len(set(chosen)) < k:
@@ -511,13 +457,15 @@ class SequentialSampler:
     The constructor checks ``M`` and ``k`` and computes the squared column
     norms, their floors and cumulative sum once. It keeps a reference to
     ``M`` (a dense float64 ``M`` is not copied) and never writes it: the
-    caller must not write ``M`` while the object is alive. The state after
-    each pivot prefix (the squared norms, floors, cumulative sum, total and
-    basis) is a deterministic function of that prefix, so draws that
-    revisit a prefix read it from a :class:`_PrefixCache` in place of
-    recomputing it. Every draw consumes the same uniforms and raises the same
-    errors as :func:`rpqr_sequential` on the same generator. One object is
-    not safe to draw from in several threads at once.
+    caller must not write ``M`` while the object is alive. The cumulative
+    norms after each pivot prefix, which the next step draws from, are a
+    deterministic function of that prefix, so the object stores them by it
+    (see :class:`_StateStore`) and later draws read them. A draw copies the
+    norms and floors at its first missing step and takes in the pivots
+    before it there, in order. Every draw consumes the same uniforms and
+    raises the same errors as :func:`rpqr_sequential` on the same
+    generator. One object is not safe to draw from in several threads at
+    once.
 
     Raises
     ------
@@ -544,18 +492,17 @@ class SequentialSampler:
             norms2 = M.multiply(M).sum(axis=0)
         else:
             norms2 = np.einsum("ij,ij->j", M, M)
-        # cancellation floor: 1e-8 of each squared norm at its last computation;
-        # selected and spent columns get a negative floor so never look stale
-        floor = 1e-8 * norms2
         cum = norms2.cumsum()
         total = float(cum[-1])
         if not math.isfinite(total):
             raise InvalidParamError(
                 "M has a NaN or infinite entry, or a squared norm past the float range")
         self.M, self.k, self._sparse = M, k, sparse
-        self._total0 = total
-        self._root = norms2, floor, cum, total, None  # the state before any pivot
-        self._cache = _PrefixCache()
+        # cancellation floor: 1e-8 of each squared norm at its last computation;
+        # selected and spent columns get a negative floor so never look stale
+        self._norms2, self._floor = norms2, 1e-8 * norms2
+        self._cum, self._total = cum, total
+        self._store = _StateStore()
 
     def draw(self, rng):
         """One pivot set, drawn with ``rng``: the columns in selection order.
@@ -566,60 +513,58 @@ class SequentialSampler:
             The total squared residual norm fell below ``1e-12 * ||M||_F^2``
             before ``k`` pivots were found.
         """
-        M, k, sparse, cache = self.M, self.k, self._sparse, self._cache
+        M, k, sparse, store = self.M, self.k, self._sparse, self._store
         d, m = M.shape
-        node = cache.start()
-        norms2, floor, cum, total, basis = self._root
-        owned = False  # the arrays are this draw's to write, not a cached state
+        store.draws += 1
+        cum, total = self._cum, self._total
+        key = ()  # the pivot prefix, nested
+        norms2 = None  # this draw's working state, made at its first miss
+        done = 0  # the pivots the working state has taken in
         pivots = []
         while True:
-            if total <= 1e-12 * self._total0:
+            if total <= 1e-12 * self._total:
                 raise RankDeficientError(
                     f"working matrix numerically exhausted after {len(pivots)} pivots"
                 )
             s = _draw_one(cum, total, rng)
             pivots.append(s)
-            j = len(pivots)
-            if j == k:  # nothing reads the working state after this
+            if len(pivots) == k:  # nothing reads the working state after this
                 return PivotSet(pivots, m)
-            if node is not None:
-                node, state = cache.step(node, s, 1)
-                if state is not None:
-                    norms2, floor, cum, total, basis = state
-                    owned = False
-                    continue
-            q = M[:, [s]].toarray().ravel() if sparse else M[:, s]
-            if j > 1:
-                B = basis[: j - 1]
-                q = q - (B @ q) @ B
-                q -= (B @ q) @ B
-            q = q / math.sqrt(float(q.dot(q)))
-            proj = M.T @ q if sparse else q @ M
-            if owned:
+            key = key, s
+            state = store.states.get(key)
+            if state is not None:
+                cum, total = state
+                continue
+            if norms2 is None:
+                norms2, floor = self._norms2.copy(), self._floor.copy()
+                basis = None
+            for j, p in enumerate(pivots[done:], done + 1):
+                q = M[:, [p]].toarray().ravel() if sparse else M[:, p]
+                if j > 1:
+                    B = basis[: j - 1]
+                    q = q - (B @ q) @ B
+                    q -= (B @ q) @ B
+                q = q / math.sqrt(float(q.dot(q)))
+                proj = M.T @ q if sparse else q @ M
                 norms2 -= proj * proj
-            else:
-                norms2 = norms2 - proj * proj
-                floor = floor.copy()
-                basis = None if basis is None else basis.copy()
-            norms2[s] = 0.0
-            floor[s] = -1.0
-            below = norms2 < floor
-            stale = below.any()
-            if stale or j + 1 < k:  # read by the recompute or the next step
-                if basis is None:
-                    basis = np.empty((k - 1, d))
-                basis[j - 1] = q
-            if stale:
-                cols = np.flatnonzero(below)
-                norms2[cols] = fresh = _residual_norms2(M, cols, basis[:j])
-                floor[cols] = np.where(fresh > 0.0, 1e-8 * fresh, -1.0)
-            np.maximum(norms2, 0.0, out=norms2)
+                norms2[p] = 0.0
+                floor[p] = -1.0
+                below = norms2 < floor
+                stale = below.any()
+                if stale or j + 1 < k:  # read by the recompute or the next step
+                    if basis is None:
+                        basis = np.empty((k - 1, d))
+                    basis[j - 1] = q
+                if stale:
+                    cols = np.flatnonzero(below)
+                    norms2[cols] = fresh = _residual_norms2(M, cols, basis[:j])
+                    floor[cols] = np.where(fresh > 0.0, 1e-8 * fresh, -1.0)
+                np.maximum(norms2, 0.0, out=norms2)
+            done = len(pivots)
             cum = norms2.cumsum()
             total = float(cum[-1])
-            # three arrays of m entries and the basis, with the tuple and float
-            owned = node is None or not cache.keep(
-                node, (norms2, floor, cum, total, basis),
-                24 * m + (0 if basis is None else basis.nbytes) + 8 * _OBJECT_BYTES)
+            # the array, the key, the tuple, the float and a dict entry
+            store.keep(key, (cum, total), 8 * m + 5 * _OBJECT_BYTES)
 
 
 def rpqr_sequential(M, k, rng):

@@ -7,7 +7,7 @@ the suite, so a fixed seed reproduces the report byte for byte. Each
 sampler check builds one :class:`~rowpick.samplers.SequentialSampler` and
 one :class:`~rowpick.samplers.RejectionSampler` on its basis and makes
 every draw through them, so the set-up runs once per basis and the draws
-reuse the states earlier draws reached; the draws are those of as many
+read the states earlier draws stored; the draws are those of as many
 calls of :func:`~rowpick.samplers.rpqr_sequential` and
 :func:`~rowpick.samplers.rejection_rpqr`, bit for bit.
 """
@@ -129,15 +129,17 @@ def _check_optimality_range(rng):
     return not bad, "k = 1..8" if not bad else f"failed at k={bad}"
 
 
-def _sampler_setup(rng, bias):
-    """A 6x2 basis's volume-sampling law and one draw function per sampler.
-    Each draws through one sampler object on the basis, so the draws share
-    its set-up and the states earlier draws reached."""
+def _sampler_laws(rng, bias, used, draws):
+    """A 6x2 basis's volume-sampling law, then the empirical laws of
+    ``draws`` draws from each sampler in ``used`` (0 sequential, 1
+    rejection), in that order. Each draws through one sampler object on the
+    basis, so the draws share its set-up and the states it stores."""
     Q = orth(rng.standard_normal((6, 2)))
     seq = SequentialSampler(Q.T, 2)
     rej = RejectionSampler(Q)
-    return (enumerate_volume_probs(Q, 2), lambda: seq.draw(rng).as_tuple(),
+    draw = (lambda: seq.draw(rng).as_tuple(),
             lambda: rej.draw(rng, _accept_bias=bias)[0].as_tuple())
+    return [enumerate_volume_probs(Q, 2)] + [_empirical(draw[i], draws) for i in used]
 
 
 def verify_checks(seed=0, corrupt=False, draws=SAMPLER_DRAWS):
@@ -176,42 +178,29 @@ def verify_checks(seed=0, corrupt=False, draws=SAMPLER_DRAWS):
           _check_active_regression)
     check("worst-case-instance-suboptimality", _check_optimality_range)
 
-    def seq_tv(rng):
-        dist, seq, _ = _sampler_setup(rng, bias)
-        tv = dist.total_variation(_empirical(seq, draws))
+    def exact_tv(dist, emp):
+        tv = dist.total_variation(emp)
         limit = _tv_limit(draws)
         return tv < limit, f"TV {tv:.4f} at {draws} draws (limit {limit:.3f})"
 
-    def rej_tv(rng):
-        dist, _, rej = _sampler_setup(rng, bias)
-        tv = dist.total_variation(_empirical(rej, draws))
-        limit = _tv_limit(draws)
-        return tv < limit, f"TV {tv:.4f} at {draws} draws (limit {limit:.3f})"
-
-    def cross_tv(rng):
-        _, seq, rej = _sampler_setup(rng, bias)
-        emp_a = _empirical(seq, draws)
-        emp_b = _empirical(rej, draws)
+    def cross_tv(dist, emp_a, emp_b):
         keys = set(emp_a) | set(emp_b)
         tv = 0.5 * sum(abs(emp_a.get(t, 0.0) - emp_b.get(t, 0.0)) for t in keys)
         limit = _tv_limit(draws, pair=True)
         return tv < limit, f"TV {tv:.4f} between samplers (limit {limit:.3f})"
 
-    def seq_chi2(rng):
-        dist, seq, _ = _sampler_setup(rng, bias)
-        p = _chi_square_pvalue(dist, _empirical(seq, draws), draws)
+    def chi2(dist, emp):
+        p = _chi_square_pvalue(dist, emp, draws)
         return p > 1e-9, f"chi-square p-value {p:.3g}"
 
-    def rej_chi2(rng):
-        dist, _, rej = _sampler_setup(rng, bias)
-        p = _chi_square_pvalue(dist, _empirical(rej, draws), draws)
-        return p > 1e-9, f"chi-square p-value {p:.3g}"
-
-    check("sequential-sampler-tv", seq_tv)
-    check("rejection-sampler-tv", rej_tv)
-    check("cross-sampler-tv", cross_tv)
-    check("sequential-sampler-chi-square", seq_chi2)
-    check("rejection-sampler-chi-square", rej_chi2)
+    for name, used, statistic in (
+            ("sequential-sampler-tv", (0,), exact_tv),
+            ("rejection-sampler-tv", (1,), exact_tv),
+            ("cross-sampler-tv", (0, 1), cross_tv),
+            ("sequential-sampler-chi-square", (0,), chi2),
+            ("rejection-sampler-chi-square", (1,), chi2)):
+        check(name, lambda rng, used=used, statistic=statistic: statistic(
+            *_sampler_laws(rng, bias, used, draws)))
 
     def sketch_check(rng):
         for _ in range(20):

@@ -6,7 +6,7 @@ import pytest
 @pytest.fixture
 def block_entries(monkeypatch):
     """A callable that sets ``BLOCK_ENTRIES`` in every module that sizes row
-    blocks or the samplers' prefix caches with it, for the rest of the
+    blocks or the samplers' state stores with it, for the rest of the
     test."""
     from rowpick import decompose, linalg, samplers, sketch
 

@@ -47,6 +47,20 @@ class TestArpConfig:
         with pytest.raises(InvalidParamError):
             ArpConfig(k=3, variant="type3")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"k": 2.5}, {"k": 2.0}, {"k": "2"}, {"k": 2, "zeta": 1.5},
+        {"k": 2, "oversample": float("nan")}, {"k": 2, "oversample": float("inf")},
+    ])
+    def test_non_integer_or_non_finite_refused(self, kwargs):
+        with pytest.raises(InvalidParamError):
+            ArpConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = ArpConfig(k=np.int64(3), zeta=np.int32(2))
+        dec = arp_decompose(np.random.default_rng(0).standard_normal((20, 10)), cfg,
+                            np.random.default_rng(1))
+        assert len(dec.pivots) == 3
+
 
 class TestRangefinder:
     def test_identity_full_rank(self):

@@ -16,7 +16,6 @@ from rowpick import (
     RankDeficientUpdateError,
     apply_pinv_right,
     orth,
-    squared_row_norms,
 )
 from rowpick import linalg
 from rowpick.samplers import HouseholderQR
@@ -351,20 +350,3 @@ class TestApplyPinvRight:
     def test_wide_requirement(self):
         with pytest.raises(DimensionMismatchError):
             apply_pinv_right(np.eye(2), np.zeros((3, 2)))
-
-
-class TestSquaredRowNorms:
-    def test_identity(self):
-        np.testing.assert_array_equal(squared_row_norms(np.eye(3)), [1.0, 1.0, 1.0])
-
-    def test_partial_identity(self):
-        Q = np.eye(3)[:, :2]
-        np.testing.assert_array_equal(squared_row_norms(Q), [1.0, 1.0, 0.0])
-        assert squared_row_norms(Q).sum() == 2.0
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_leverage_scores_sum_to_width(self, seed):
-        rng = np.random.default_rng(seed)
-        Q = orth(rng.standard_normal((20, 4)))
-        k = Q.shape[1]
-        assert abs(squared_row_norms(Q).sum() - k) <= 1e-12 * k

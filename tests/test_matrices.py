@@ -208,3 +208,11 @@ class TestMatrixSpec:
             MatrixSpec.parse("kernel:g=6,bogus=1")
         with pytest.raises(InvalidParamError):
             MatrixSpec.parse("geo-file")
+
+    @pytest.mark.parametrize("text, field", [
+        ("dense-decay:m=abc", "m="), ("sparse-decay:nnz=3x", "nnz="),
+        ("kernel:g=2.5", "g="), ("dense-decay:seed=-1", "seed"),
+    ])
+    def test_malformed_fields_name_the_field(self, text, field):
+        with pytest.raises(InvalidParamError, match=field):
+            MatrixSpec.parse(text)

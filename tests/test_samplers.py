@@ -1,8 +1,9 @@
 """Sampler tests: multinomial draws, the block accept/reject pass, the
 distributional agreement of both pivot samplers with the enumeration
-oracle, and the memory of the sampler objects' prefix caches."""
+oracle, and the sampler objects' state stores."""
 
 import gc
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -29,7 +30,6 @@ from rowpick import (
     run_method,
 )
 from rowpick import samplers
-from rowpick.linalg import squared_row_norms
 from rowpick.samplers import (
     ACCEPT_SLACK,
     MAX_ROUNDS,
@@ -78,7 +78,7 @@ def projected_out(Q, rows, proposals):
 def right_looking_rejection(Q, rng):
     """Block rejection sampler over a projected-out Gram per round."""
     m, k = Q.shape
-    lev = squared_row_norms(Q)
+    lev = np.einsum("ij,ij->i", Q, Q)
     cum = lev.cumsum()
     chosen = []
     while len(chosen) < k:
@@ -226,7 +226,7 @@ class TestRejectionSampleSubmatrix:
         # repeated proposals, as the block sampler builds them
         rng = np.random.default_rng(k)
         Q = orth(rng.standard_normal((4 * k, k)))
-        lev = squared_row_norms(Q)
+        lev = np.einsum("ij,ij->i", Q, Q)
         for trial in range(20):
             nb = int(rng.integers(1, 61))
             absorbed = int(rng.integers(0, k))
@@ -538,25 +538,66 @@ class TestPinnedDrawStreams:
 
 
 class TestSamplerObjects:
-    """Draws that read and extend cached states keep the function forms'
-    streams; a single draw stores no state, whatever the cache cap, and
-    many draws keep the cache within ``BLOCK_ENTRIES`` float64 entries."""
+    """Draws that read stored states keep the function forms' streams; a
+    single draw stores no state, whatever the cap; many draws keep the
+    store within ``BLOCK_ENTRIES`` float64 entries; stored arrays are never
+    written."""
 
-    def test_cached_states_are_extended_on_copies(self, monkeypatch):
-        # at k=4 on 6 rows, later draws read cached QRs and norms and extend
-        # them; a cached state written in place would change later draws
-        copies = []
-        real = samplers.HouseholderQR._copy
-        monkeypatch.setattr(samplers.HouseholderQR, "_copy",
-                            lambda qr: copies.append(1) or real(qr))
+    @staticmethod
+    def k4_samplers():
         Q = orth(np.random.default_rng(64).standard_normal((6, 4)))
-        rej, seq = RejectionSampler(Q), SequentialSampler(Q.T, 4)
+        return Q, RejectionSampler(Q), SequentialSampler(Q.T, 4)
+
+    def test_stored_states_keep_the_function_streams(self):
+        # at k=4 on 6 rows, later draws read stored Grams and cumulative
+        # norms, and rebuild the working state from the prefix on a miss
+        Q, rej, seq = self.k4_samplers()
         a, b = np.random.default_rng(1), np.random.default_rng(1)
         for _ in range(300):
             assert rej.draw(a) == rejection_rpqr(Q, b)
             assert seq.draw(a) == rpqr_sequential(Q.T, 4, b)
-        assert copies  # a cached QR was extended
+        assert rej._store.states and seq._store.states
         assert a.bit_generator.state == b.bit_generator.state
+
+    def test_stored_arrays_are_never_written(self):
+        _, rej, seq = self.k4_samplers()
+        rng = np.random.default_rng(2)
+
+        def checksums():
+            return {key: hashlib.sha256(state[0].tobytes()).hexdigest()
+                    for sampler in (rej, seq)
+                    for key, state in sampler._store.states.items()}
+
+        for _ in range(300):
+            rej.draw(rng)
+            seq.draw(rng)
+        before = checksums()
+        assert before
+        for _ in range(300):
+            rej.draw(rng)
+            seq.draw(rng)
+        after = checksums()
+        assert {key: after[key] for key in before} == before
+
+    def test_warm_draws_factor_nothing(self, monkeypatch):
+        # on criterion 02's basis every round's Gram recurs: once the store
+        # holds them all, a draw never builds or extends a QR
+        absorbed = []
+        real = samplers.HouseholderQR._absorb
+        monkeypatch.setattr(samplers.HouseholderQR, "_absorb",
+                            lambda qr, C: absorbed.append(1) or real(qr, C))
+        rej = RejectionSampler(orth(np.random.default_rng(2024).standard_normal((6, 2))))
+        rng = np.random.default_rng(1)
+        # 36 ordered proposal pairs, after no accepted row or after one of 6
+        for _ in range(50000):
+            if len(rej._store.states) == 36 * 7:
+                break
+            rej.draw(rng)
+        assert len(rej._store.states) == 36 * 7 and absorbed
+        absorbed.clear()
+        for _ in range(3000):
+            rej.draw(rng)
+        assert not absorbed
 
     @staticmethod
     def peak_mib(call):
@@ -578,8 +619,8 @@ class TestSamplerObjects:
         assert self.peak_mib(lambda: rpqr_sequential(M, 60, np.random.default_rng(2))) <= 3.85
         for sampler in (RejectionSampler(Q), SequentialSampler(M, 60)):
             sampler.draw(np.random.default_rng(3))
-            assert sampler._cache.root is None
-            assert sampler._cache.free == 8 * 2**28
+            assert not sampler._store.states
+            assert sampler._store.free == 8 * 2**28
 
     def test_many_draws_stay_within_the_cap(self, block_entries):
         cap = 2**14
@@ -597,5 +638,5 @@ class TestSamplerObjects:
                 held = tracemalloc.get_traced_memory()[0] - base
             finally:
                 tracemalloc.stop()
-            assert sampler._cache.free < 8 * cap // 20  # the cap binds
+            assert sampler._store.free < 8 * cap // 20  # the cap binds
             assert held <= 8 * cap

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rowpick
 from rowpick import RankDeficientError, run_verify, verify
 from rowpick.cli import main
@@ -182,6 +184,17 @@ class TestCli:
         ])
         assert status == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--matrix", "dense-decay:m=abc"],
+        ["gen", "--matrix", "kernel:g=2.5"],
+        ["gen", "--matrix", "dense-decay:m=5,n=5,seed=-1"],
+        ["bench", "--matrix", "kernel:g=4", "--k", "2,x"],
+    ])
+    def test_malformed_arguments_are_reported(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_gen_sparse_npz(self, tmp_path, capsys):
         target = tmp_path / "s.npz"
