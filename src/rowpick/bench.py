@@ -23,18 +23,28 @@ per cell for every requested ARP-family method, then builds each family
 record's ``wall_time_s`` is the shared selection plus its own ``W``, what
 a standalone :func:`run_method` call takes; a failed selection fails every
 family record of the cell. Duplicate and aliased method names are merged.
+
+Every method decomposes the rows of ``A`` that hold a nonzero, ``A[rows]``,
+as a matrix of their own and lifts the result back to ``m`` rows (see
+``decompose._nonempty_rows``): a row with no nonzero is never a pivot,
+gets a zero row of ``W``, and costs nothing in the phases that run over
+every row. :func:`run_bench` takes ``A[rows]`` once per rank, and each
+record's ``wall_time_s`` includes the lift.
 """
 
 import csv
 import json
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 
 from .decompose import (
     ArpConfig,
+    _lift_decomposition,
+    _nonempty_rows,
     _round_up_multiple,
     arp_decompose,
     build_w,
@@ -91,11 +101,22 @@ def canonical_method(name):
 
 
 def run_method(method, A, k, rng, zeta=4, oversample=2.0):
-    """Run one named method at rank ``k`` and return its decomposition."""
+    """Run one named method at rank ``k`` and return its decomposition.
+
+    Every method decomposes the rows of ``A`` that hold a nonzero as a
+    matrix of their own and lifts the result (see the module docstring): a
+    row with no nonzero is never a pivot, gets a zero row of ``W`` and
+    costs nothing. SkQR sketches and factors only those rows, and RPQR
+    samples only those columns of ``A^T``.
+    """
     method = canonical_method(method)
     m, n = A.shape
     if not 1 <= k <= min(m, n):
         raise InvalidParamError(f"need 1 <= k <= min{A.shape}, got {k}")
+    rows, B = _nonempty_rows(A, k, zeta)
+    if rows is not None:
+        return _lift_decomposition(
+            rows, m, run_method(method, B, k, rng, zeta=zeta, oversample=oversample))
     cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample,
                     variant=_VARIANTS[method])
     if method in _FAMILY:
@@ -129,14 +150,15 @@ def _cell_rng(seed, k):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(k))))
 
 
-def _run_cell(A, methods, k, seed, zeta, oversample, measure):
+def _run_cell(A, methods, k, seed, zeta, oversample, measure, lift):
     """Run every method of one (k, seed) cell, each from ``_cell_rng``.
 
-    Returns ``{method: (measure(dec), seconds)}`` with ``dec`` None for a
-    method that failed. The requested ARP-family methods share one
+    Returns ``{method: (measure(lift(dec)), seconds)}`` with ``dec`` None
+    for a method that failed. The requested ARP-family methods share one
     :func:`select_pivots`; each of their ``seconds`` is that selection
-    plus the method's own :func:`build_w`. ``measure`` runs outside the
-    timing, and each decomposition is dropped before the next is built.
+    plus the method's own :func:`build_w` and ``lift``. ``measure`` runs
+    outside the timing, and each decomposition is dropped before the next
+    is built.
     """
     out = {}
 
@@ -152,8 +174,8 @@ def _run_cell(A, methods, k, seed, zeta, oversample, measure):
     # the baselines first, so that the family's basis is not alive under them
     for method in methods:
         if method not in _FAMILY:
-            timed(method, lambda: run_method(method, A, k, _cell_rng(seed, k),
-                                             zeta=zeta, oversample=oversample))
+            timed(method, lambda: lift(run_method(
+                method, A, k, _cell_rng(seed, k), zeta=zeta, oversample=oversample)))
     family = [method for method in _FAMILY if method in methods]
     if not family:
         return out
@@ -163,12 +185,16 @@ def _run_cell(A, methods, k, seed, zeta, oversample, measure):
         cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample)
         Q, pivots = select_pivots(A, cfg, rng)
     except _FAILURES:
-        Q = None
+        Q = pivots = None
     shared = time.perf_counter() - t0
+    # only ARP's W reads the basis: its build takes the last reference, so
+    # the basis is freed before ARP's W is lifted and its residual measured
+    bases = {"ARP": Q}
+    del Q
     for method in family:
-        timed(method, lambda: None if Q is None else build_w(
-            A, pivots, replace(cfg, variant=_VARIANTS[method]), rng, basis=Q),
-            shared)
+        timed(method, lambda: None if pivots is None else lift(build_w(
+            A, pivots, replace(cfg, variant=_VARIANTS[method]), rng,
+            basis=bases.pop(method, None))), shared)
     return out
 
 
@@ -186,11 +212,15 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
     When ``out_path`` is given, writes ``<out_path>.csv`` (records, sorted)
     and ``<out_path>.json`` (per-(method, k) mean/min/max relative error).
 
-    Returns the records in canonical sorted order.
+    Returns the records in canonical sorted order. An empty ``k_list`` or
+    ``seeds``, like ``timing_repeats < 1``, is refused with
+    :class:`InvalidParamError`.
     """
     methods = list(dict.fromkeys(canonical_method(name) for name in methods))
     if timing_repeats < 1:
         raise InvalidParamError("timing_repeats must be >= 1")
+    if len(k_list) == 0 or len(seeds) == 0:
+        raise InvalidParamError("need at least one rank and one seed")
     A = spec.build()
     desc = spec.describe()
     m, n = A.shape
@@ -203,9 +233,11 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
 
     records = []
     for k in k_list:
+        rows, B = _nonempty_rows(A, k, zeta)
+        lift = partial(_lift_decomposition, rows, m)
         for seed in seeds:
-            runs = [_run_cell(A, methods, k, seed, zeta, oversample,
-                              error_and_rank if r == 0 else lambda dec: None)
+            runs = [_run_cell(B, methods, k, seed, zeta, oversample,
+                              error_and_rank if r == 0 else lambda dec: None, lift)
                     for r in range(timing_repeats)]
             for method, ((rel, rank), _) in runs[0].items():
                 times = [max(run[method][1], 1e-9) for run in runs]

@@ -13,6 +13,16 @@ Variants
 ``osid``
     ``W = Y @ pinv(Y[S, :])`` for the sketch ``Y = A @ Phi`` by a fresh
     oversampled embedding ``Phi``; a fast approximation to type2.
+
+Empty rows
+----------
+A row of ``A`` with no nonzero has zero leverage in every basis of the
+range of ``A`` and zero norm, so no sampler pivots it, and every variant
+gives it a zero row of ``W``. :func:`select_pivots`, :func:`build_w` and
+:func:`arp_decompose` decompose the other rows, ``A[rows]``, as a matrix
+of their own (see :func:`_nonempty_rows`) and lift the result back to
+``m`` rows, so an empty row costs nothing in the phases that run over
+every row.
 """
 
 import math
@@ -128,6 +138,54 @@ def _take_rows(A, idx):
     return np.asarray(A[idx, :], dtype=np.float64)
 
 
+def _nonempty_rows(A, k, zeta):
+    """``(rows, A[rows])`` for the ascending indices ``rows`` of the rows
+    of ``A`` that hold a nonzero, or ``(None, A)`` when every row does, or
+    fewer than the rangefinder's sketch width ``round_up(k, zeta)`` do, or
+    ``k`` exceeds the column count.
+
+    A NaN counts as a nonzero and a stored zero does not. A sparse
+    ``A[rows]`` is a canonical CSR array. The fallbacks keep ``A`` whole,
+    and with it the arithmetic on the whole ``A``: the rangefinder narrows
+    its sketch on fewer rows than its width, which would change its draws,
+    and a ``k`` past the column count is refused with ``A``'s own shape.
+    """
+    m = A.shape[0]
+    if sp.issparse(A):
+        C = _canonical(A, sp.csr_array)
+        live = np.zeros(m, dtype=bool)
+        live[np.repeat(np.arange(m), np.diff(C.indptr))[C.data != 0]] = True
+    else:
+        C = np.asarray(A)
+        if C[:, :1].all():  # a nonzero in the first column: every row has one
+            return None, A
+        live = C.any(axis=1)
+    rows = np.flatnonzero(live)
+    if k > A.shape[1] or not _round_up_multiple(k, zeta) <= rows.size < m:
+        return None, A
+    return rows, C[rows]
+
+
+def _lift(rows, m, X):
+    """The ``m``-row array whose rows ``rows`` are ``X`` and whose other
+    rows are zero."""
+    out = np.zeros((m, X.shape[1]))
+    out[rows] = X
+    return out
+
+
+def _lift_decomposition(rows, m, dec):
+    """The decomposition ``dec`` of ``A[rows]`` as one of the ``m``-row
+    ``A`` whose other rows are zero: its pivots mapped through ``rows``,
+    its ``W`` lifted by :func:`_lift`; ``dec`` itself when ``rows`` is
+    None."""
+    if rows is None:
+        return dec
+    return InterpolativeDecomposition(
+        pivots=PivotSet(rows[dec.pivots.indices], m), w=_lift(rows, m, dec.w),
+        config=dec.config, pinv_fallback=dec.pinv_fallback)
+
+
 def rangefinder(A, k, zeta, rng):
     """Orthonormal ``Q`` approximating the range of ``A`` from one sketch.
 
@@ -175,10 +233,20 @@ def select_pivots(A, cfg, rng):
     ``Q``, then a volume-sampled pivot set of ``Q``'s rows.
 
     Returns ``(Q, pivots)``. Draws from ``rng`` in that order: the sketch,
-    then the sampler.
+    then the sampler. Both run on the rows of ``A`` that hold a nonzero
+    (see Empty rows in the module docstring): a row with no nonzero is
+    never a pivot, gets a zero row of ``Q`` and costs nothing. Its sketch
+    row would be zero, so the other rows of ``Q`` are those of the whole
+    ``A``'s basis to roundoff, and the sampler, drawing the same uniforms,
+    picks the same pivots unless roundoff moves a draw across the boundary
+    between two rows' cumulative weights.
     """
-    Q = rangefinder(A, cfg.k, cfg.zeta, rng)
-    return Q, rejection_rpqr(Q, rng)[0]
+    rows, B = _nonempty_rows(A, cfg.k, cfg.zeta)
+    Q = rangefinder(B, cfg.k, cfg.zeta, rng)
+    pivots = rejection_rpqr(Q, rng)[0]
+    if rows is None:
+        return Q, pivots
+    return _lift(rows, A.shape[0], Q), PivotSet(rows[pivots.indices], A.shape[0])
 
 
 def build_w(A, pivots, cfg, rng, basis=None):
@@ -200,8 +268,20 @@ def build_w(A, pivots, cfg, rng, basis=None):
     set. ``osid`` takes ``X[S, :]`` as the sketch of ``A[S, :]``, which has
     its bytes, and streams the sketch's row blocks into ``W``, so it forms
     the whole sketch only for the fallback.
+
+    When every pivot holds a nonzero, ``W`` is built on the rows of ``A``
+    that do, with those rows of ``basis`` (see Empty rows in the module
+    docstring): a row with no nonzero gets an exactly zero row of ``W``,
+    for ``type1`` whatever ``basis`` holds there, and costs nothing.
     """
     S = pivots.indices
+    rows, B = _nonempty_rows(A, cfg.k, cfg.zeta)
+    if rows is not None:
+        at = np.searchsorted(rows, S)
+        if np.array_equal(rows[np.minimum(at, rows.size - 1)], S):
+            dec = build_w(B, PivotSet(at, rows.size), cfg, rng,
+                          basis=None if basis is None else basis[rows])
+            return _lift_decomposition(rows, A.shape[0], dec)
     if cfg.variant == "type1":
         if basis is None:
             raise InvalidParamError("type1 needs the basis Q")
@@ -233,8 +313,10 @@ def arp_decompose(A, cfg, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    Q, pivots = select_pivots(A, cfg, rng)
-    return build_w(A, pivots, cfg, rng, basis=Q)
+    # A[rows] as a matrix of its own, so that its basis is never lifted
+    rows, B = _nonempty_rows(A, cfg.k, cfg.zeta)
+    Q, pivots = select_pivots(B, cfg, rng)
+    return _lift_decomposition(rows, A.shape[0], build_w(B, pivots, cfg, rng, basis=Q))
 
 
 def fro_norm(A):
@@ -251,7 +333,8 @@ def residual_fro(A, dec, block_rows=None):
     """Frobenius norm of ``A - W @ A[S, :]``, dense or sparse ``A``.
 
     Runs over blocks of ``block_rows`` rows, by default as many as fit
-    ``BLOCK_ENTRIES`` float64 entries (16 MB) of the product ``W @ A[S, :]``.
+    ``BLOCK_ENTRIES`` float64 entries (16 MB) of the product ``W @ A[S, :]``
+    and of the rows of ``W`` gathered for it when rows are skipped (below).
     The memory it needs is that one block plus ``A[S, :]``, and for sparse
     ``A`` a canonical CSR copy when ``A`` is not one, whatever the row count.
     Each block is scaled by the power of two :func:`fro_norm` uses, so
@@ -261,9 +344,12 @@ def residual_fro(A, dec, block_rows=None):
     For sparse ``A`` the product runs only over the set ``C`` of columns
     that ``A[S, :]`` touches: outside ``C`` the residual is ``A`` itself,
     whose stored squares are summed as they stream past. The cost is
-    ``nnz(A)`` plus ``m * |C| * k`` in place of ``m * n * k``. The result
-    agrees with the dense one to summation order, and bit for bit when
-    ``C`` holds every column.
+    ``nnz(A)`` plus ``m * |C| * k`` in place of ``m * n * k``. A row where
+    sparse ``A`` stores no entry and ``W`` is zero adds exactly zero, so
+    such rows are skipped: a row of ``A`` with no nonzero costs nothing
+    beyond the check of its row of ``W``. The result agrees with the dense
+    one to summation order, and bit for bit when ``C`` holds every column
+    and no row is skipped.
     """
     S = dec.pivots.indices
     W = dec.w
@@ -274,6 +360,7 @@ def residual_fro(A, dec, block_rows=None):
     if block_rows is not None and block_rows < 1:
         raise InvalidParamError("block_rows must be >= 1")
     sparse = sp.issparse(A)
+    rows = None
     if sparse:
         A = _canonical(A, sp.csr_array)
         e = _scale_exponent(A.data)
@@ -286,13 +373,24 @@ def residual_fro(A, dec, block_rows=None):
         support = R.any(axis=0)
         slot = np.cumsum(support) - 1  # column of A -> column of R[:, C]
         R = np.ascontiguousarray(R[:, support])
+        live = np.diff(A.indptr) > 0
+        if not live.all():
+            live |= (W != 0).any(axis=1)
+        if not live.all():
+            rows = np.flatnonzero(live)
+            # the skipped rows store no entry, so A's data and indices serve
+            A = sp.csr_array((A.data, A.indices, A.indptr[np.append(rows, A.shape[0])]),
+                             shape=(rows.size, A.shape[1]))
     width = R.shape[1]
     if block_rows is None:
-        block_rows = max(1, BLOCK_ENTRIES // max(width, 1))
+        # the block of the product, and the rows of W gathered for it
+        gathered = 0 if rows is None else W.shape[1]
+        block_rows = max(1, BLOCK_ENTRIES // max(width + gathered, 1))
     buf = np.empty((min(block_rows, A.shape[0]), width))
     total = 0.0
     for lo, hi in _row_blocks(A, block_rows):
-        D = np.matmul(W[lo:hi], R, out=buf[:hi - lo])
+        D = np.matmul(W[lo:hi] if rows is None else W[rows[lo:hi]], R,
+                      out=buf[:hi - lo])
         f = D.reshape(-1)
         if sparse:
             ptr = A.indptr[lo:hi + 1]

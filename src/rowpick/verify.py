@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from .decompose import ArpConfig, arp_decompose, residual_fro
-from .errors import RowpickError
+from .errors import InvalidParamError, RowpickError
 from .linalg import orth
 from .oracle import (
     check_active_regression,
@@ -153,7 +153,14 @@ def verify_checks(seed=0, corrupt=False, draws=SAMPLER_DRAWS):
     ``corrupt`` flips the rejection sampler's accept rule from a strict
     comparison to a slack one (a deliberate bug) to demonstrate that the
     distribution checks catch it.
+
+    Raises
+    ------
+    InvalidParamError
+        ``draws`` is below 1.
     """
+    if draws < 1:
+        raise InvalidParamError(f"draws must be >= 1, got {draws}")
     bias = 0.05 if corrupt else 0.0
     results = []
 

@@ -2,16 +2,22 @@
 round trips, the per-row error ordering, and failure handling."""
 
 import csv
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+import rowpick
 from rowpick import (
     BenchmarkRecord,
     METHOD_ORDER,
@@ -42,6 +48,62 @@ def read_csv(path):
         return [BenchmarkRecord(**{name: types[name](value)
                                    for name, value in row.items()})
                 for row in reader]
+
+
+# run_bench's CSV without the wall time, on two inputs without an empty row,
+# at one BLAS thread: OpenBLAS splits a product's sums differently on more
+GOLDEN_CSV = {
+    ("kernel:g=12", 5, 10): """\
+method,matrix,m,n,k,seed,rel_fro_error,effective_rank
+ARP,kernel:g=12,144,144,10,0,0.11135537947110986,10
+ARP,kernel:g=12,144,144,10,1,0.1462837663903476,10
+ProjARP,kernel:g=12,144,144,10,0,0.04244243563244874,10
+ProjARP,kernel:g=12,144,144,10,1,0.04956878740435907,10
+RPQR,kernel:g=12,144,144,10,0,0.04928193704436495,10
+RPQR,kernel:g=12,144,144,10,1,0.04854234767754278,10
+SkARP,kernel:g=12,144,144,10,0,0.06369070753694049,10
+SkARP,kernel:g=12,144,144,10,1,0.07129622934490595,10
+SkQR,kernel:g=12,144,144,10,0,0.09743406286325129,10
+SkQR,kernel:g=12,144,144,10,1,0.10361368513265232,10
+""",
+    ("dense-decay:m=300,n=300,seed=0", 4, 20): """\
+method,matrix,m,n,k,seed,rel_fro_error,effective_rank
+ARP,"dense-decay:m=300,n=300,seed=0",300,300,20,0,0.06434022137783688,20
+ARP,"dense-decay:m=300,n=300,seed=0",300,300,20,1,0.04284861039557821,20
+ProjARP,"dense-decay:m=300,n=300,seed=0",300,300,20,0,0.012764271495233797,20
+ProjARP,"dense-decay:m=300,n=300,seed=0",300,300,20,1,0.009083716236704233,20
+SkARP,"dense-decay:m=300,n=300,seed=0",300,300,20,0,0.018096714964137832,20
+SkARP,"dense-decay:m=300,n=300,seed=0",300,300,20,1,0.014173531578987694,20
+SkQR,"dense-decay:m=300,n=300,seed=0",300,300,20,0,0.009315160918019523,20
+SkQR,"dense-decay:m=300,n=300,seed=0",300,300,20,1,0.009040744563156738,20
+""",
+}
+GOLDEN_PROBE = """
+import csv, io, json, sys
+from rowpick import METHOD_ORDER, MatrixSpec, run_bench
+out, got = sys.argv[2], []
+for spec, methods, k in json.loads(sys.argv[1]):
+    run_bench(MatrixSpec.parse(spec), METHOD_ORDER[:methods], [k], [0, 1], out_path=out)
+    with open(out + ".csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("wall_time_s")
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\\n").writerows(r[:col] + r[col + 1:] for r in rows)
+    got.append(text.getvalue())
+print(json.dumps(got))
+"""
+
+
+def test_csv_matches_golden(tmp_path):
+    src = str(Path(rowpick.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    argv = [sys.executable, "-c", GOLDEN_PROBE, json.dumps(list(GOLDEN_CSV)),
+            str(tmp_path / "bench")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert json.loads(done.stdout) == list(GOLDEN_CSV.values())
 
 
 class TestMethodDispatch:
@@ -91,6 +153,34 @@ class TestMethodDispatch:
         for method in METHOD_ORDER:
             with pytest.raises(InvalidParamError, match="^A has a NaN or infinite entry"):
                 run_method(method, A, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_only_entry_of_a_row_rejected(self, sparse, bad):
+        # a row that holds nothing but a NaN or inf is not empty
+        A = SPEC.build()
+        A[::2] = 0.0
+        A[8, 3] = bad
+        A = sp.csc_array(A) if sparse else A
+        for method in METHOD_ORDER:
+            with pytest.raises(InvalidParamError, match="^A has a NaN or infinite entry"):
+                run_method(method, A, 3, np.random.default_rng(0))
+
+    def test_sparse_pivots_pinned(self):
+        # 78% of the rows hold no entry; the digests are of the pivots, in
+        # selection order, of cell seeds 0-4 at k=40, as they were before
+        # those rows were skipped
+        A = MatrixSpec.parse("sparse-decay:m=20000,n=500,nnz=10,seed=3").build()
+        digests = {}
+        for method in METHOD_ORDER:
+            h = hashlib.sha256()
+            for seed in range(5):
+                pivots = run_method(method, A, 40, _cell_rng(seed, 40)).pivots
+                h.update(pivots.indices.astype("<i8").tobytes())
+            digests[method] = h.hexdigest()[:16]
+        family = "62eb06589d05445f"
+        assert digests == {"ARP": family, "ProjARP": family, "SkARP": family,
+                           "SkQR": "c1de5869fb76eebd", "RPQR": "4cdd3a7c27a0a07b"}
 
     @pytest.mark.parametrize("seed", range(3))
     def test_skqr_pivots_match_scipy(self, seed):
@@ -217,24 +307,39 @@ class TestRunBench:
         assert [(r.method, r.seed) for r in records] == [("ProjARP", 0), ("ProjARP", 1)]
         assert summarize_records(records)["results"]["ProjARP"]["4"]["trials"] == 2
 
+    @staticmethod
+    def _check_matches_standalone(spec, methods, ks, seeds, repeats=1):
+        records = run_bench(spec, methods, ks, seeds, timing_repeats=repeats)
+        A = spec.build()
+        expected = []
+        for method in methods:
+            for k in ks:
+                for seed in seeds:
+                    dec = run_method(method, A, k, _cell_rng(seed, k))
+                    expected.append(BenchmarkRecord(
+                        method, spec.describe(), *A.shape, k, seed,
+                        residual_fro(A, dec) / fro_norm(A), 0.0, dec.effective_rank))
+        expected.sort(key=lambda r: (r.method, r.k, r.seed))
+        assert all(r.wall_time_s > 0 for r in records)
+        assert [replace(r, wall_time_s=0.0) for r in records] == expected
+
     @pytest.mark.parametrize("repeats", [1, 3])
     @pytest.mark.parametrize("methods", [
         ["SkARP"], ["ARP", "SkARP"], ["SkARP", "ProjARP", "ARP"], list(METHOD_ORDER),
     ])
     def test_shared_selection_matches_standalone_methods(self, methods, repeats):
-        records = run_bench(SPEC, methods, [3, 5], range(3), timing_repeats=repeats)
-        A = SPEC.build()
-        expected = []
-        for method in methods:
-            for k in (3, 5):
-                for seed in range(3):
-                    dec = run_method(method, A, k, _cell_rng(seed, k))
-                    expected.append(BenchmarkRecord(
-                        method, SPEC.describe(), *A.shape, k, seed,
-                        residual_fro(A, dec) / fro_norm(A), 0.0, dec.effective_rank))
-        expected.sort(key=lambda r: (r.method, r.k, r.seed))
-        assert all(r.wall_time_s > 0 for r in records)
-        assert [replace(r, wall_time_s=0.0) for r in records] == expected
+        self._check_matches_standalone(SPEC, methods, [3, 5], range(3), repeats)
+
+    def test_shared_selection_matches_standalone_methods_on_empty_rows(self):
+        # 90% of the rows hold no entry, so every phase skips them
+        spec = MatrixSpec.parse("sparse-decay:m=400,n=40,nnz=1,seed=1")
+        self._check_matches_standalone(spec, list(METHOD_ORDER), [3, 5], range(3))
+
+    @pytest.mark.parametrize("k_list, seeds", [([], [0]), ([3], [])])
+    def test_empty_rank_or_seed_list_refused(self, k_list, seeds, tmp_path):
+        with pytest.raises(InvalidParamError, match="at least one rank and one seed"):
+            run_bench(SPEC, ["ARP"], k_list, seeds, out_path=str(tmp_path / "b"))
+        assert not list(tmp_path.iterdir())
 
     def test_failed_selection_fails_the_family(self):
         records = run_bench(SPEC, ["SkARP", "ARP", "ProjARP"], [45], [0])

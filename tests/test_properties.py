@@ -5,9 +5,10 @@ input, full rank or not, with zero entries, rows and columns.
 Each generated case runs all three variants on the dense matrix and on its
 CSC copy from the same seed. The examples are derandomized, so the suite
 is deterministic. One more property checks ``orth`` taller than one leaf
-of its tall-skinny QR against ``orth`` in one leaf, and the last that
-draws from one sampler object are the draws of as many calls of the
-sampler's function form.
+of its tall-skinny QR against ``orth`` in one leaf, one that every method
+skips the rows of ``A`` that hold no nonzero, and the last that draws
+from one sampler object are the draws of as many calls of the sampler's
+function form.
 """
 
 import numpy as np
@@ -17,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rowpick import (
+    METHOD_ORDER,
     VARIANTS,
     ArpConfig,
+    PivotSet,
     RejectionSampler,
     RowpickError,
     SequentialSampler,
@@ -29,6 +32,7 @@ from rowpick import (
     rejection_rpqr,
     residual_fro,
     rpqr_sequential,
+    run_method,
     samplers,
 )
 
@@ -151,6 +155,69 @@ def test_orth_in_leaves_agrees_with_one_leaf(case):
     assert Q.shape == one.shape
     assert np.linalg.norm(Q.T @ Q - np.eye(r)) <= 1e-13 * max(r, 1)
     assert np.linalg.norm(Q @ Q.T - one @ one.T) <= 1e-10
+
+
+@st.composite
+def tall_sparse_cases(draw):
+    """``(A, k, zeta, seed)``: ``A`` (at most 200 x 12, CSC) a product of
+    Gaussian factors of a drawn inner rank, masked entrywise to a drawn
+    density, with a drawn share of its rows zeroed, some of those stored as
+    explicit zeros."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(n, 200))
+    k = draw(st.integers(1, n))
+    zeta = draw(st.sampled_from([1, 2, 4, 8]))
+    rank = draw(st.integers(1, n))
+    density = draw(st.sampled_from([1.0, 0.3]))
+    empty = draw(st.sampled_from([0.5, 0.8, 0.95]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    A *= rng.random((m, n)) < density
+    zero = rng.random(m) < empty
+    A[zero] = 0.0
+    A = sp.coo_array(A)
+    stored = np.flatnonzero(zero & (rng.random(m) < 0.5))  # explicit zeros
+    A = sp.csc_array((np.concatenate([A.data, np.zeros(stored.size)]),
+                      (np.concatenate([A.row, stored]),
+                       np.concatenate([A.col, stored % n]))), shape=(m, n))
+    A.sum_duplicates()
+    return A, k, zeta, seed
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(cases(), tall_sparse_cases()))
+def test_rows_without_a_nonzero_are_skipped(case):
+    A, k, zeta, seed = case
+    D = A.toarray() if sp.issparse(A) else A
+    m = D.shape[0]
+    rows = np.flatnonzero(D.any(axis=1))
+    empty = np.flatnonzero(~D.any(axis=1))
+    # with fewer nonempty rows than the sketch width, A is decomposed whole
+    skipped = -(-k // zeta) * zeta <= rows.size < m
+    for A_in, sub in ((D, D[rows]), (sp.csc_array(A), sp.csr_array(A)[rows])):
+        for method in METHOD_ORDER:
+            try:
+                dec = run_method(method, A_in, k, np.random.default_rng(seed), zeta=zeta)
+            except RowpickError as exc:
+                if skipped:
+                    with pytest.raises(type(exc)):
+                        run_method(method, sub, k, np.random.default_rng(seed), zeta=zeta)
+                continue
+            W, S = dec.w, dec.pivots.indices
+            want = fro_norm(D - W @ D[S])
+            scale = fro_norm(D) + np.linalg.norm(W) * fro_norm(D[S])
+            assert abs(residual_fro(A_in, dec) - want) <= 1e-12 * scale
+            if not skipped:
+                continue
+            assert not np.isin(S, empty).any()
+            assert not W[empty].any()
+            ref = run_method(method, sub, k, np.random.default_rng(seed), zeta=zeta)
+            lifted = np.zeros_like(W)
+            lifted[rows] = ref.w
+            assert dec.pivots == PivotSet(rows[ref.pivots.indices], m)
+            assert dec.pinv_fallback == ref.pinv_fallback
+            assert W.tobytes() == lifted.tobytes()
 
 
 @st.composite

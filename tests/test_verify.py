@@ -190,11 +190,21 @@ class TestCli:
         ["gen", "--matrix", "kernel:g=2.5"],
         ["gen", "--matrix", "dense-decay:m=5,n=5,seed=-1"],
         ["bench", "--matrix", "kernel:g=4", "--k", "2,x"],
+        ["bench", "--matrix", "kernel:g=4", "--k", ","],
+        ["bench", "--matrix", "kernel:g=4", "--k", "2", "--trials", "0"],
     ])
     def test_malformed_arguments_are_reported(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_non_positive_draws_refused(self, draws, json_flag, capsys):
+        assert main(["verify", "--draws", draws] + json_flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: draws must be >= 1, got {draws}\n"
 
     def test_gen_sparse_npz(self, tmp_path, capsys):
         target = tmp_path / "s.npz"
