@@ -21,22 +21,22 @@ makes the ProjARP-versus-ARP error ordering deterministic per row.
 per cell for every requested ARP-family method, then builds each family
 ``W`` in turn, the same bits three :func:`run_method` calls give. A family
 record's ``wall_time_s`` is the shared selection plus its own ``W``, what
-a standalone :func:`run_method` call takes; a failed selection fails every
-family record of the cell. Duplicate and aliased method names are merged.
+a standalone :func:`run_method` call on ``A[rows]`` takes; a failed
+selection fails every family record of the cell. Duplicate and aliased
+method names are merged.
 
 Every method decomposes the rows of ``A`` that hold a nonzero, ``A[rows]``,
-as a matrix of their own and lifts the result back to ``m`` rows (see
-``decompose._nonempty_rows``): a row with no nonzero is never a pivot,
-gets a zero row of ``W``, and costs nothing in the phases that run over
-every row. :func:`run_bench` takes ``A[rows]`` once per rank, and each
-record's ``wall_time_s`` includes the lift.
+as a matrix of their own (see ``decompose._nonempty_rows``): a row with no
+nonzero is never a pivot, gets a zero row of ``W``, and costs nothing.
+:func:`run_method` lifts its result back to ``m`` rows. :func:`run_bench`
+runs each cell on ``A[rows]`` and reports ``residual_fro(A[rows], dec) /
+fro_norm(A)`` unlifted, the lifted error up to the residual's sum order.
 """
 
 import csv
 import json
 import time
 from dataclasses import dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -113,25 +113,21 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0):
     m, n = A.shape
     if not 1 <= k <= min(m, n):
         raise InvalidParamError(f"need 1 <= k <= min{A.shape}, got {k}")
-    rows, B = _nonempty_rows(A, k, zeta)
-    if rows is not None:
-        return _lift_decomposition(
-            rows, m, run_method(method, B, k, rng, zeta=zeta, oversample=oversample))
     cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample,
                     variant=_VARIANTS[method])
     if method in _FAMILY:
         return arp_decompose(A, cfg, rng)
+    rows, B = _nonempty_rows(A, k, zeta)
     if method == "SkQR":
         emb = sparse_sign_embedding(n, _round_up_multiple(k, zeta), zeta, rng)
-        pivots = PivotSet(_qr_pivots(sketch_apply(A, emb).T)[:k], m)
-        return build_w(A, pivots, cfg, rng)
-    # RPQR: sequential selection on the full matrix, projection W
-    try:
-        pivots = rpqr_sequential(A.T, k, rng)
-    except InvalidParamError:  # its message names its argument M = A^T
-        raise InvalidParamError("A has a NaN or infinite entry, or a squared "
-                                "norm past the float range") from None
-    return build_w(A, pivots, cfg, rng)
+        pivots = PivotSet(_qr_pivots(sketch_apply(B, emb).T)[:k], B.shape[0])
+    else:  # RPQR: sequential selection, projection W
+        try:
+            pivots = rpqr_sequential(B.T, k, rng)
+        except InvalidParamError:  # its message names its argument M = A^T
+            raise InvalidParamError("A has a NaN or infinite entry, or a squared "
+                                    "norm past the float range") from None
+    return _lift_decomposition(rows, m, build_w(B, pivots, cfg, rng))
 
 
 def _qr_pivots(M):
@@ -150,15 +146,14 @@ def _cell_rng(seed, k):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(k))))
 
 
-def _run_cell(A, methods, k, seed, zeta, oversample, measure, lift):
+def _run_cell(A, methods, k, seed, zeta, oversample, measure):
     """Run every method of one (k, seed) cell, each from ``_cell_rng``.
 
-    Returns ``{method: (measure(lift(dec)), seconds)}`` with ``dec`` None
-    for a method that failed. The requested ARP-family methods share one
+    Returns ``{method: (measure(dec), seconds)}`` with ``dec`` None for a
+    method that failed. The requested ARP-family methods share one
     :func:`select_pivots`; each of their ``seconds`` is that selection
-    plus the method's own :func:`build_w` and ``lift``. ``measure`` runs
-    outside the timing, and each decomposition is dropped before the next
-    is built.
+    plus the method's own :func:`build_w`. ``measure`` runs outside the
+    timing, and each decomposition is dropped before the next is built.
     """
     out = {}
 
@@ -174,8 +169,8 @@ def _run_cell(A, methods, k, seed, zeta, oversample, measure, lift):
     # the baselines first, so that the family's basis is not alive under them
     for method in methods:
         if method not in _FAMILY:
-            timed(method, lambda: lift(run_method(
-                method, A, k, _cell_rng(seed, k), zeta=zeta, oversample=oversample)))
+            timed(method, lambda: run_method(
+                method, A, k, _cell_rng(seed, k), zeta=zeta, oversample=oversample))
     family = [method for method in _FAMILY if method in methods]
     if not family:
         return out
@@ -187,14 +182,14 @@ def _run_cell(A, methods, k, seed, zeta, oversample, measure, lift):
     except _FAILURES:
         Q = pivots = None
     shared = time.perf_counter() - t0
-    # only ARP's W reads the basis: its build takes the last reference, so
-    # the basis is freed before ARP's W is lifted and its residual measured
-    bases = {"ARP": Q}
+    # only ARP's W reads the basis: its build takes the last reference, if
+    # any, so the basis is freed before a residual is measured
+    bases = {"ARP": Q} if "ARP" in family else {}
     del Q
     for method in family:
-        timed(method, lambda: None if pivots is None else lift(build_w(
+        timed(method, lambda: None if pivots is None else build_w(
             A, pivots, replace(cfg, variant=_VARIANTS[method]), rng,
-            basis=bases.pop(method, None))), shared)
+            basis=bases.pop(method, None)), shared)
     return out
 
 
@@ -202,8 +197,9 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
               oversample=2.0, timing_repeats=1):
     """Run every (method, k, seed) cell on the matrix described by ``spec``.
 
-    Duplicate and aliased method names are merged. The ARP-family methods
-    of a cell share one pivot selection (see the module docstring).
+    Duplicate and aliased method names are merged. Each cell runs on the
+    rows of ``A`` that hold a nonzero, and the ARP-family methods of a cell
+    share one pivot selection (see the module docstring).
     ``timing_repeats > 1`` re-runs each cell that many times and reports the
     median wall time (the repeats are bit-identical, so the error is
     measured once). Errors raised by a cell are recorded as failed rows
@@ -225,19 +221,18 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
     desc = spec.describe()
     m, n = A.shape
     fro = fro_norm(A)
-
-    def error_and_rank(dec):
-        if dec is None:
-            return float("nan"), 0
-        return residual_fro(A, dec) / fro, dec.effective_rank
-
     records = []
     for k in k_list:
-        rows, B = _nonempty_rows(A, k, zeta)
-        lift = partial(_lift_decomposition, rows, m)
+        _, B = _nonempty_rows(A, k, zeta)
+
+        def error_and_rank(dec):
+            if dec is None:
+                return float("nan"), 0
+            return residual_fro(B, dec) / fro, dec.effective_rank
+
         for seed in seeds:
             runs = [_run_cell(B, methods, k, seed, zeta, oversample,
-                              error_and_rank if r == 0 else lambda dec: None, lift)
+                              error_and_rank if r == 0 else lambda dec: None)
                     for r in range(timing_repeats)]
             for method, ((rel, rank), _) in runs[0].items():
                 times = [max(run[method][1], 1e-9) for run in runs]

@@ -18,11 +18,13 @@ Empty rows
 ----------
 A row of ``A`` with no nonzero has zero leverage in every basis of the
 range of ``A`` and zero norm, so no sampler pivots it, and every variant
-gives it a zero row of ``W``. :func:`select_pivots`, :func:`build_w` and
-:func:`arp_decompose` decompose the other rows, ``A[rows]``, as a matrix
-of their own (see :func:`_nonempty_rows`) and lift the result back to
-``m`` rows, so an empty row costs nothing in the phases that run over
-every row.
+gives it a zero row of ``W``. :func:`arp_decompose` (like ``run_method``
+and ``run_bench``) decomposes the other rows, ``A[rows]``, as a matrix of
+their own (see :func:`_nonempty_rows`) and lifts the result back to ``m``
+rows, so an empty row costs nothing. The phases :func:`select_pivots` and
+:func:`build_w` run on every row they are given: on an ``A`` with empty
+rows they still give a valid decomposition, but not always bit for bit
+the one :func:`arp_decompose` gives.
 """
 
 import math
@@ -166,23 +168,17 @@ def _nonempty_rows(A, k, zeta):
     return rows, C[rows]
 
 
-def _lift(rows, m, X):
-    """The ``m``-row array whose rows ``rows`` are ``X`` and whose other
-    rows are zero."""
-    out = np.zeros((m, X.shape[1]))
-    out[rows] = X
-    return out
-
-
 def _lift_decomposition(rows, m, dec):
     """The decomposition ``dec`` of ``A[rows]`` as one of the ``m``-row
     ``A`` whose other rows are zero: its pivots mapped through ``rows``,
-    its ``W`` lifted by :func:`_lift`; ``dec`` itself when ``rows`` is
-    None."""
+    its ``W`` lifted to ``m`` rows with zeros; ``dec`` itself when ``rows``
+    is None."""
     if rows is None:
         return dec
+    w = np.zeros((m, dec.w.shape[1]))
+    w[rows] = dec.w
     return InterpolativeDecomposition(
-        pivots=PivotSet(rows[dec.pivots.indices], m), w=_lift(rows, m, dec.w),
+        pivots=PivotSet(rows[dec.pivots.indices], m), w=w,
         config=dec.config, pinv_fallback=dec.pinv_fallback)
 
 
@@ -233,20 +229,11 @@ def select_pivots(A, cfg, rng):
     ``Q``, then a volume-sampled pivot set of ``Q``'s rows.
 
     Returns ``(Q, pivots)``. Draws from ``rng`` in that order: the sketch,
-    then the sampler. Both run on the rows of ``A`` that hold a nonzero
-    (see Empty rows in the module docstring): a row with no nonzero is
-    never a pivot, gets a zero row of ``Q`` and costs nothing. Its sketch
-    row would be zero, so the other rows of ``Q`` are those of the whole
-    ``A``'s basis to roundoff, and the sampler, drawing the same uniforms,
-    picks the same pivots unless roundoff moves a draw across the boundary
-    between two rows' cumulative weights.
+    then the sampler, both on every row of ``A`` (see Empty rows in the
+    module docstring).
     """
-    rows, B = _nonempty_rows(A, cfg.k, cfg.zeta)
-    Q = rangefinder(B, cfg.k, cfg.zeta, rng)
-    pivots = rejection_rpqr(Q, rng)[0]
-    if rows is None:
-        return Q, pivots
-    return _lift(rows, A.shape[0], Q), PivotSet(rows[pivots.indices], A.shape[0])
+    Q = rangefinder(A, cfg.k, cfg.zeta, rng)
+    return Q, rejection_rpqr(Q, rng)[0]
 
 
 def build_w(A, pivots, cfg, rng, basis=None):
@@ -269,19 +256,14 @@ def build_w(A, pivots, cfg, rng, basis=None):
     its bytes, and streams the sketch's row blocks into ``W``, so it forms
     the whole sketch only for the fallback.
 
-    When every pivot holds a nonzero, ``W`` is built on the rows of ``A``
-    that do, with those rows of ``basis`` (see Empty rows in the module
-    docstring): a row with no nonzero gets an exactly zero row of ``W``,
-    for ``type1`` whatever ``basis`` holds there, and costs nothing.
+    ``W`` is built on every row of ``A`` (see Empty rows in the module
+    docstring), whose rows ``pivots`` and ``basis`` must index; other row
+    counts raise :class:`DimensionMismatchError`.
     """
+    m = A.shape[0]
+    if pivots.m != m or (basis is not None and basis.shape[0] != m):
+        raise DimensionMismatchError("pivots and basis must index the rows of A")
     S = pivots.indices
-    rows, B = _nonempty_rows(A, cfg.k, cfg.zeta)
-    if rows is not None:
-        at = np.searchsorted(rows, S)
-        if np.array_equal(rows[np.minimum(at, rows.size - 1)], S):
-            dec = build_w(B, PivotSet(at, rows.size), cfg, rng,
-                          basis=None if basis is None else basis[rows])
-            return _lift_decomposition(rows, A.shape[0], dec)
     if cfg.variant == "type1":
         if basis is None:
             raise InvalidParamError("type1 needs the basis Q")
@@ -309,11 +291,11 @@ def arp_decompose(A, cfg, rng=None):
     A pure function of ``(A, cfg, seed)``: the rangefinder sketch, the
     pivot sampler, and (for ``osid``) the oversampling sketch all consume
     one generator stream seeded from ``cfg.seed`` unless an explicit ``rng``
-    is supplied.
+    is supplied. Both phases run on the rows of ``A`` that hold a nonzero
+    (see Empty rows in the module docstring).
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    # A[rows] as a matrix of its own, so that its basis is never lifted
     rows, B = _nonempty_rows(A, cfg.k, cfg.zeta)
     Q, pivots = select_pivots(B, cfg, rng)
     return _lift_decomposition(rows, A.shape[0], build_w(B, pivots, cfg, rng, basis=Q))

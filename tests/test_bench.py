@@ -32,6 +32,7 @@ from rowpick import (
     write_records_csv,
 )
 from rowpick.bench import _cell_rng, _qr_pivots, canonical_method
+from rowpick.decompose import _nonempty_rows
 from rowpick.linalg import BLOCK_ENTRIES
 
 
@@ -50,8 +51,9 @@ def read_csv(path):
                 for row in reader]
 
 
-# run_bench's CSV without the wall time, on two inputs without an empty row,
-# at one BLAS thread: OpenBLAS splits a product's sums differently on more
+# run_bench's CSV without the wall time, on two inputs without an empty row
+# and one where 2,872 of the 3,000 rows hold a nonzero, at one BLAS thread:
+# OpenBLAS splits a product's sums differently on more
 GOLDEN_CSV = {
     ("kernel:g=12", 5, 10): """\
 method,matrix,m,n,k,seed,rel_fro_error,effective_rank
@@ -76,6 +78,32 @@ SkARP,"dense-decay:m=300,n=300,seed=0",300,300,20,0,0.018096714964137832,20
 SkARP,"dense-decay:m=300,n=300,seed=0",300,300,20,1,0.014173531578987694,20
 SkQR,"dense-decay:m=300,n=300,seed=0",300,300,20,0,0.009315160918019523,20
 SkQR,"dense-decay:m=300,n=300,seed=0",300,300,20,1,0.009040744563156738,20
+""",
+    ("sparse-decay:m=3000,n=300,nnz=30,seed=0", 5, 10): """\
+method,matrix,m,n,k,seed,rel_fro_error,effective_rank
+ARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,10,0,0.05577306880343078,10
+ARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,10,1,0.2032429180765488,10
+ProjARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,10,0,0.02993346735034163,10
+ProjARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,10,1,0.03657125610505518,10
+RPQR,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,10,0,0.022498926506131698,10
+RPQR,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,10,1,0.02884800208868689,10
+SkARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,10,0,0.038326629773775656,10
+SkARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,10,1,0.06394208704810388,10
+SkQR,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,10,0,0.03386309671325645,10
+SkQR,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,10,1,0.030800224317372598,10
+""",
+    ("sparse-decay:m=3000,n=300,nnz=30,seed=0", 5, 20): """\
+method,matrix,m,n,k,seed,rel_fro_error,effective_rank
+ARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,20,0,0.01996587937871068,20
+ARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,20,1,0.08914822218174291,20
+ProjARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,20,0,0.008253187025584557,20
+ProjARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,20,1,0.015548757435733952,20
+RPQR,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,20,0,0.006807431329106643,20
+RPQR,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,20,1,0.00717887788441532,20
+SkARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,20,0,0.011245737066721256,20
+SkARP,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,20,1,0.019505788816121868,20
+SkQR,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,20,0,0.009383457314855995,20
+SkQR,"sparse-decay:m=3000,n=300,nnz=30,seed=0",3000,300,20,1,0.013330389084492349,20
 """,
 }
 GOLDEN_PROBE = """
@@ -165,6 +193,16 @@ class TestMethodDispatch:
         for method in METHOD_ORDER:
             with pytest.raises(InvalidParamError, match="^A has a NaN or infinite entry"):
                 run_method(method, A, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_bad_zeta_refused_on_empty_rows(self, sparse):
+        # the config is checked before the row scan divides by zeta
+        A = SPEC.build()
+        A[::2] = 0.0
+        A = sp.csc_array(A) if sparse else A
+        for method in METHOD_ORDER:
+            with pytest.raises(InvalidParamError, match="^zeta must be"):
+                run_method(method, A, 3, np.random.default_rng(0), zeta=0)
 
     def test_sparse_pivots_pinned(self):
         # 78% of the rows hold no entry; the digests are of the pivots, in
@@ -357,20 +395,21 @@ class TestRunBench:
 
 
 @pytest.mark.parametrize("methods", [["ARP", "ProjARP", "SkARP"],
-                                     ["ARP", "ProjARP", "SkARP", "SkQR"]])
+                                     ["ARP", "ProjARP", "SkARP", "SkQR"],
+                                     ["ProjARP"], ["SkARP", "ProjARP"]])
 def test_cell_memory_is_one_decomposition(methods):
-    # W, Q and the osid sketch of a 40000 x 60 cell take 18-37 MiB each, so
-    # a decomposition or basis kept alive under the next one shows well
-    # above the bound
+    # W, Q and the osid sketch of a 40000 x 60 cell take 18-37 MiB each on
+    # A's nonempty rows, what run_bench decomposes, so a decomposition,
+    # basis or lift kept alive under the next one shows well above the bound
     spec = MatrixSpec.parse("sparse-decay:m=40000,n=1000,nnz=30,seed=0")
-    A = spec.build()
+    B = _nonempty_rows(spec.build(), 60, 4)[1]
     single = 0
     tracemalloc.start()
     try:
         for method in methods:
             tracemalloc.reset_peak()
-            dec = run_method(method, A, 60, _cell_rng(0, 60))
-            residual_fro(A, dec)
+            dec = run_method(method, B, 60, _cell_rng(0, 60))
+            residual_fro(B, dec)
             del dec
             single = max(single, tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()

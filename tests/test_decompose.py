@@ -27,7 +27,7 @@ from rowpick import (
     residual_fro,
     select_pivots,
 )
-from rowpick.decompose import build_type1_w
+from rowpick.decompose import _lift_decomposition, _nonempty_rows, build_type1_w
 from rowpick.linalg import BLOCK_ENTRIES
 from rowpick.samplers import rejection_rpqr
 
@@ -217,19 +217,39 @@ class TestArpDecompose:
     def test_pipeline_phases_keep_the_stream(self, sparse):
         A = gen_decay_sparse(60, 40, 6, np.random.default_rng(3))
         A = A if sparse else A.toarray()
+        # the phases run on the rows they are given; arp_decompose runs
+        # them on the rows of A that hold a nonzero and lifts the result
+        rows, B = _nonempty_rows(A, 6, 2)
+        assert rows is not None
         configs = [ArpConfig(k=6, zeta=2, variant=v, seed=9) for v in VARIANTS]
         for cfg in configs:
             rng = np.random.default_rng(9)
-            Q, pivots = select_pivots(A, cfg, rng)
-            dec = build_w(A, pivots, cfg, rng, basis=Q)
-            assert dec == arp_decompose(A, cfg)
+            Q, pivots = select_pivots(B, cfg, rng)
+            dec = build_w(B, pivots, cfg, rng, basis=Q)
+            assert dec == arp_decompose(B, cfg)
+            assert _lift_decomposition(rows, A.shape[0], dec) == arp_decompose(A, cfg)
         # only osid draws, after the sampler: one pivot draw serves all
         # three variants in the order of VARIANTS
         rng = np.random.default_rng(9)
-        Q, pivots = select_pivots(A, configs[0], rng)
+        Q, pivots = select_pivots(B, configs[0], rng)
         for cfg in configs:
-            dec = build_w(A, pivots, cfg, rng, basis=Q)
-            assert dec == arp_decompose(A, cfg)
+            dec = build_w(B, pivots, cfg, rng, basis=Q)
+            assert dec == arp_decompose(B, cfg)
+
+    @pytest.mark.parametrize("pivots, basis_rows", [
+        (PivotSet([1, 2, 3, 4], 50), None),  # another m, indices in range
+        (PivotSet([1, 2, 3, 70], 80), None),  # an index past A's rows
+        (PivotSet([1, 2, 3, 4], 60), 50),  # a basis of another row count
+    ])
+    def test_build_w_refuses_another_row_count(self, pivots, basis_rows):
+        A = np.random.default_rng(4).standard_normal((60, 20))
+        basis = None if basis_rows is None else orth(A[:basis_rows])
+        for variant in VARIANTS:
+            cfg = ArpConfig(k=4, variant=variant)
+            rng = np.random.default_rng(0)
+            with pytest.raises(DimensionMismatchError):
+                build_w(A, pivots, cfg, rng, basis=basis)
+            assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_variants_share_pivots_for_shared_seed(self):
         A = np.random.default_rng(1).standard_normal((20, 14))
