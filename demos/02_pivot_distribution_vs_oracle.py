@@ -16,11 +16,12 @@ dist = rp.enumerate_volume_probs(Q, 2)
 draws = 50000
 
 # one sampler object per basis: the set-up runs once, and the draws read
-# the states that earlier draws stored after the same pivots
+# the states that earlier draws stored after the same pivots. draws()
+# makes them as many draw() calls would, with the uniforms drawn in blocks
 rejection = rp.RejectionSampler(Q)
 sequential = rp.SequentialSampler(Q.T, 2)
-rej = Counter(rejection.draw(rng)[0].as_tuple() for _ in range(draws))
-seq = Counter(sequential.draw(rng).as_tuple() for _ in range(draws))
+rej = Counter(pivots.as_tuple() for pivots, _ in rejection.draws(rng, draws))
+seq = Counter(pivots.as_tuple() for pivots in sequential.draws(rng, draws))
 
 print(f"{'subset':>10} {'exact':>9} {'rejection':>10} {'sequential':>11}")
 for subset in dist.support():

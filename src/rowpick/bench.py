@@ -209,14 +209,17 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
     and ``<out_path>.json`` (per-(method, k) mean/min/max relative error).
 
     Returns the records in canonical sorted order. An empty ``k_list`` or
-    ``seeds``, like ``timing_repeats < 1``, is refused with
-    :class:`InvalidParamError`.
+    ``seeds``, a rank or ``zeta`` not an integer >= 1 and ``timing_repeats
+    < 1`` are refused with :class:`InvalidParamError` before the matrix is
+    built; a rank above ``min(m, n)`` is a failed cell.
     """
     methods = list(dict.fromkeys(canonical_method(name) for name in methods))
     if timing_repeats < 1:
         raise InvalidParamError("timing_repeats must be >= 1")
     if len(k_list) == 0 or len(seeds) == 0:
         raise InvalidParamError("need at least one rank and one seed")
+    for k in k_list:
+        ArpConfig(k=k, zeta=zeta)  # checks both
     A = spec.build()
     desc = spec.describe()
     m, n = A.shape

@@ -28,7 +28,9 @@ def gen_decay_dense(m, n, rng):
     if m < 1 or n < 1:
         raise InvalidParamError("m and n must be >= 1")
     scale = np.arange(1, m + 1, dtype=np.float64) ** -2.0
-    return scale[:, None] * rng.standard_normal((m, n))
+    A = rng.standard_normal((m, n))
+    A *= scale[:, None]
+    return A
 
 
 def gen_decay_sparse(m, n, nnz_per_col, rng):
@@ -68,15 +70,14 @@ def gen_kernel(grid_side):
     if g < 1:
         raise InvalidParamError("grid side must be >= 1")
     t = np.arange(g, dtype=np.float64) / g
-    xx, yy = np.meshgrid(t, t, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    src = pts
-    dst = pts + np.array([1.0, 0.0])
-    d2 = (
-        (src[:, None, 0] - dst[None, :, 0]) ** 2
-        + (src[:, None, 1] - dst[None, :, 1]) ** 2
-    )
-    return 1.0 / np.sqrt(d2)
+    # point (a, b) is row a * g + b; its squared distance to target (c, e)
+    # is (t[a] - (t[c] + 1))**2 + (t[b] - t[e])**2, summed into the one
+    # g^2 x g^2 array, then rooted and inverted in place
+    dx2 = np.square(np.subtract.outer(t, t + 1.0))
+    dy2 = np.square(np.subtract.outer(t, t))
+    K = np.add(dx2[:, None, :, None], dy2[None, :, None, :]).reshape(g * g, g * g)
+    np.sqrt(K, out=K)
+    return np.reciprocal(K, out=K)
 
 
 def _open_text(path):

@@ -12,10 +12,12 @@ to choose at each step by the pivots before it, which determine it (see
 :class:`_StateStore`), and later draws read it in place of recomputing it;
 the working factorization is always the draw's own. A draw's uniforms,
 accept decisions, pivots and errors are those of a fresh object on the
-same generator. The objects hold a reference to the basis, not a copy, so
-the caller must not write it while an object is alive.
-:func:`rejection_rpqr` and :func:`rpqr_sequential` are one draw of a fresh
-object, which stores nothing.
+same generator, and ``draws(rng, count)`` yields what ``count`` draws
+return, with the uniforms drawn in blocks (see :class:`_Blocks`). The
+objects hold a reference to the basis, not a copy, so the caller must not
+write it while an object is alive. :func:`rejection_rpqr` and
+:func:`rpqr_sequential` are one draw of a fresh object, which stores
+nothing.
 
 Each draw owns its generator stream for the duration of the call; draws
 with independent streams from independent objects are safe to run
@@ -23,6 +25,7 @@ concurrently, draws from one object are not.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +69,16 @@ class PivotSet:
             if len(set(values)) != idx.size:
                 raise ValueError("pivot indices must be distinct")
 
+    @classmethod
+    def _unchecked(cls, indices, m):
+        """A pivot set from a list of distinct ints in ``[0, m)``, not
+        validated again: for the samplers, which build it so."""
+        pivots = object.__new__(cls)
+        fields = pivots.__dict__  # past the frozen dataclass's __setattr__
+        fields["indices"] = np.array(indices, dtype=np.intp)
+        fields["m"] = m
+        return pivots
+
     def _key(self):
         return tuple(self.indices.tolist()), self.m
 
@@ -98,11 +111,11 @@ def _draw_from_cumulative(edges, total, count, rng):
 
 
 def _draw_one(cum, total, rng):
-    idx = int(cum.searchsorted(rng.random() * total, side="right"))
-    return idx if idx < cum.size else cum.size - 1
+    # below the last index: u * total < total = cum[-1] for a normal total
+    return int(cum.searchsorted(rng.random() * total, side="right"))
 
 
-def _accept_pass(H, lev, rng, accept_bias, room):
+def _accept_pass(H, lev, rng, accept_bias, room, diags=None, store=None):
     """Accept/reject walk over the residual Gram ``H`` (symmetric, left
     unchanged) and the proposals' leverage scores ``lev`` (a list of
     floats). Returns the accepted positions in order, at most ``room``.
@@ -112,21 +125,26 @@ def _accept_pass(H, lev, rng, accept_bias, room):
     Schur-complement downdates by the proposals accepted before it, so a
     duplicate of an accepted proposal carries zero residual and is never
     accepted itself. Every proposal consumes one uniform, in order, drawn
-    up front. The walk is left-looking: it keeps the diagonal ``d`` of the
-    Schur complement of the accepted positions, and an acceptance at ``i``
-    computes one column ``c`` of that complement from ``H`` and the columns
-    kept so far, then downdates ``d`` below ``i`` by ``c**2 / d[i]``.
+    up front by the generator ``rng`` or given as the list ``rng``. The walk
+    is left-looking: it keeps the diagonal ``d`` of the Schur complement of
+    the accepted positions, and an acceptance at ``i`` computes one column
+    ``c`` of that complement from ``H`` and the columns kept so far, then
+    downdates ``d`` below ``i`` by ``c**2 / d[i]``. A stored round's
+    ``diags`` takes each ``d`` as floats, by the positions accepted before
+    it, where ``store`` has room; :func:`_stored_pass` reads them.
 
     ``accept_bias`` is a test-only corruption hook: a positive value turns
     the strict accept comparison into a ``<=`` with that much slack, which
     detectably skews the sampled distribution. The samplers pass 0.
     """
     nb = H.shape[0]
-    draws = rng.random(nb).tolist()
+    draws = rng if isinstance(rng, list) else rng.random(nb).tolist()
     d = H.diagonal().copy()
     L = None  # the Schur complement's columns, scaled: d -= L[:, a]**2
     a = 0
     accepted = []
+    if diags is not None:
+        store.keep_diagonal(diags, accepted, d)
     for i, lev_i in enumerate(lev):
         hii = d.item(i)
         # ratio validity: projections never grow norms beyond roundoff
@@ -143,11 +161,35 @@ def _accept_pass(H, lev, rng, accept_bias, room):
                 if a:
                     c = c - L[i + 1:, :a] @ L[i, :a]
                 d[i + 1:] -= (c / hii) * c
+                if diags is not None:
+                    store.keep_diagonal(diags, accepted, d)
                 if i + 2 < nb:  # a later acceptance reads this column
                     if L is None:
                         L = np.empty((nb, min(nb, room)))
                     L[i + 1:, a] = c / math.sqrt(hii)
                     a += 1
+    return accepted
+
+
+def _stored_pass(lev, draws, diags, accept_bias, room):
+    """:func:`_accept_pass` on the uniforms ``draws`` of a stored round,
+    reading each diagonal from ``diags``: floats only. None where a
+    diagonal is missing or a ratio exceeds 1: the computed pass decides."""
+    d = diags.get(())
+    accepted = []
+    for i, lev_i in enumerate(lev):
+        if d is None:
+            return None
+        hii = d[i]
+        if not hii <= lev_i + ACCEPT_SLACK:
+            return None
+        draw = lev_i * draws[i]
+        if (draw < hii) if accept_bias == 0.0 else (draw <= hii + accept_bias):
+            accepted.append(i)
+            if len(accepted) == room:
+                break
+            if hii > 0.0 and i + 1 < len(lev):
+                d = diags.get(tuple(accepted))
     return accepted
 
 
@@ -250,12 +292,15 @@ class _StateStore:
     that determines it, shared by its draws.
 
     Each state is a deterministic function of its key, so a draw that reads
-    it in place of recomputing it keeps every bit. An object's first draw
-    stores nothing, so a single draw leaves the store empty; every later
-    draw stores what it computes while ``BLOCK_ENTRIES`` float64 entries'
-    worth of bytes last, each Python object counted at a fixed allowance.
-    Past that nothing more is stored, and the draws compute what is
-    missing. Stored arrays are never written.
+    it in place of recomputing it keeps every bit. For the block sampler a
+    state is a round: its Gram, its proposals and their leverage scores,
+    and a dict of the residual diagonals its accept pass reads after each
+    prefix of acceptances, lists of floats added as draws compute them. An
+    object's first draw stores nothing, so a single draw leaves the store
+    empty; every later draw stores what it computes while ``BLOCK_ENTRIES``
+    float64 entries' worth of bytes last, each Python object counted at a
+    fixed allowance. Past that nothing more is stored, and the draws
+    compute what is missing. Stored arrays and lists are never written.
     """
 
     __slots__ = ("states", "draws", "free")
@@ -265,17 +310,88 @@ class _StateStore:
         self.draws = 0  # draws begun, counted by the sampler
         self.free = 8 * BLOCK_ENTRIES
 
-    def keep(self, key, state, nbytes):
-        """Store ``state`` under ``key`` unless this is the object's first
-        draw or ``nbytes`` do not fit."""
+    def keep(self, key, state, nbytes, states=None):
+        """Store ``state`` under ``key`` in ``states`` (the store's own) unless
+        this is the object's first draw or ``nbytes`` do not fit; say if so."""
         if self.draws > 1 and nbytes <= self.free:
             self.free -= nbytes
-            self.states[key] = state
+            (self.states if states is None else states)[key] = state
+            return True
+        return False
+
+    def keep_diagonal(self, diags, accepted, d):
+        """Keep the accept pass's diagonal ``d`` in a round's ``diags``, by
+        the positions ``accepted`` before it, unless it is there."""
+        key = tuple(accepted)
+        if key not in diags:  # the list and its items, the key and its items, a dict entry
+            self.keep(key, d.tolist(), _OBJECT_BYTES * (d.size + len(key) + 3), diags)
+
+
+class _Blocks:
+    """The uniforms of a ``draws`` iterator, drawn from ``rng`` in blocks
+    and served in order. A block holds the ``unit`` uniforms (a draw's or a
+    round's) of each draw still to make, at most ``BLOCK_ENTRIES // 512``
+    uniforms, about 150 kB with the floats made of them. When the iteration
+    ends, ``rng`` is reset to its state before the last block and draws the
+    uniforms served from it again, as though it had drawn only those."""
+
+    def __init__(self, rng, unit):
+        self.rng, self.unit = rng, unit
+        self.size = self.served = 0  # uniforms of the current block
+
+    def _block(self):
+        units = max(1, min(self.left, BLOCK_ENTRIES // 512 // self.unit))
+        self.state = self.rng.bit_generator.state
+        self.size, self.served = units * self.unit, 0
+        return self.rng.random((units, self.unit))
+
+    def drawn(self, draw, count):
+        try:
+            for self.left in range(count, 0, -1):
+                yield draw()
+        finally:
+            if self.served < self.size:
+                self.rng.bit_generator.state = self.state
+                self.rng.random(self.served)
+
+    def random(self):
+        """The next uniform, as ``Generator.random()``."""
+        if self.served == self.size:
+            self.floats = self._block().ravel().tolist()
+        self.served += 1
+        return self.floats[self.served - 1]
+
+
+class _RoundBlocks(_Blocks):
+    """The block sampler's rounds: ``k`` uniforms that propose, all the
+    block's proposals found in one search, and ``k`` for the accept pass."""
+
+    def __init__(self, rng, edges, total, k):
+        super().__init__(rng, 2 * k)
+        self.edges, self.total, self.k = edges, total, k
+
+    def proposals(self):
+        """The next round's proposals, as the bytes of ``k`` intp."""
+        k = self.k
+        if self.served == self.size:
+            U = self._block()
+            found = self.edges.searchsorted(U[:, :k] * self.total, side="right")
+            self.keys, self.width = found.tobytes(), k * found.itemsize
+            self.floats = U[:, k:].ravel().tolist()
+        at = self.served // (2 * k) * self.width
+        self.served += k
+        return self.keys[at:at + self.width]
+
+    def uniforms(self):
+        """The accept pass's uniforms of the round proposed last."""
+        at = (self.served - self.k) // 2
+        self.served += self.k
+        return self.floats[at:at + self.k]
 
 
 class RejectionSampler:
     """Volume-sampled pivot sets from an orthonormal-column ``Q``, one per
-    :meth:`draw`.
+    :meth:`draw`, or many per :meth:`draws`.
 
     Each round of a draw proposes ``k = Q.shape[1]`` rows iid from the
     leverage score distribution and filters them through an accept/reject
@@ -292,12 +408,14 @@ class RejectionSampler:
     already): the caller must not write ``Q`` while the object is alive.
     Each round's Gram, with its proposals and their leverage scores, is a
     deterministic function of the row blocks absorbed before it and of its
-    proposals, so the object stores it by them (see :class:`_StateStore`)
-    and later draws read it; a draw factors the blocks it has absorbed only
-    when a round's Gram is missing. Every draw consumes the same uniforms,
-    makes the same accept decisions and raises the same errors as
-    :func:`rejection_rpqr` on the same generator. One object is not safe to
-    draw from in several threads at once.
+    proposals, so the object stores it by them, with the residual diagonals
+    its accept pass reads (see :class:`_StateStore`), and later draws read
+    them; a draw factors the blocks it has absorbed only when a round's
+    Gram is missing, and a round whose diagonals are all stored compares
+    floats. Every draw consumes the same uniforms, makes the same accept
+    decisions and raises the same errors as :func:`rejection_rpqr` on the
+    same generator. One object is not safe to draw from in several threads
+    at once.
 
     Raises
     ------
@@ -348,6 +466,25 @@ class RejectionSampler:
             is refused when a later round's Gram is computed, after that
             round's proposals are drawn.
         """
+        edges, total, k = self._edges, self._total, self.k
+        return self._draw(
+            lambda: _draw_from_cumulative(edges, total, k, rng).tobytes(),
+            lambda: rng.random(k).tolist(), _accept_bias)
+
+    def draws(self, rng, count, _accept_bias=0.0):
+        """An iterator over ``count`` outcomes of :meth:`draw` with
+        ``rng``: the same pivot sets and rounds, and the same first error,
+        which ends it. It draws the uniforms of many rounds per generator
+        call, finds their proposals in one search, and leaves ``rng``, once
+        exhausted or closed, as ``count`` calls of :meth:`draw` would; the
+        caller must not use ``rng`` in between."""
+        blocks = _RoundBlocks(rng, self._edges, self._total, self.k)
+        return blocks.drawn(
+            lambda: self._draw(blocks.proposals, blocks.uniforms, _accept_bias), count)
+
+    def _draw(self, propose, uniforms, _accept_bias):
+        # the draw loop, over a round's proposals from propose(), as bytes,
+        # and its accept pass's uniforms from uniforms(), a list
         Q, k, lev, store = self.Q, self.k, self._lev, self._store
         store.draws += 1
         blocks = ()  # the accepted row blocks, as a nested prefix
@@ -362,10 +499,11 @@ class RejectionSampler:
                     f"of {k} pivots; Q is likely numerically deficient"
                 )
             rounds += 1
-            proposals = _draw_from_cumulative(self._edges, self._total, k, rng)
-            key = blocks, proposals.tobytes()
+            key = blocks, propose()
             entry = store.states.get(key)
-            if entry is None:
+            kept = entry is not None
+            if not kept:
+                proposals = np.frombuffer(key[1], dtype=np.intp)
                 C = Q.take(proposals, axis=0).T
                 if blocks:
                     if qr is None:
@@ -378,11 +516,17 @@ class RejectionSampler:
                     # projected-out columns
                     C = qr._complement_t(C)
                 proposals = proposals.tolist()
-                entry = C.T @ C, [lev[t] for t in proposals], proposals
-                # the Gram's entries; it, the key, the tuple, two lists and their items
-                store.keep(key, entry, 8 * k * k + _OBJECT_BYTES * (6 + 3 * k))
-            H, lev_p, proposals = entry
-            accepted = _accept_pass(H, lev_p, rng, _accept_bias, k - len(chosen))
+                entry = C.T @ C, [lev[t] for t in proposals], proposals, {}
+                # the Gram's entries; it, the key, the tuple, two lists and
+                # their items, and the dict of diagonals
+                kept = store.keep(key, entry, 8 * k * k + _OBJECT_BYTES * (7 + 3 * k))
+            H, lev_p, proposals, diags = entry
+            room = k - len(chosen)
+            draws = uniforms()
+            accepted = _stored_pass(lev_p, draws, diags, _accept_bias, room) if diags else None
+            if accepted is None:
+                accepted = _accept_pass(H, lev_p, draws, _accept_bias, room,
+                                        diags if kept else None, store)
             if accepted:
                 new_rows = [proposals[i] for i in accepted]
                 chosen.extend(new_rows)
@@ -393,7 +537,7 @@ class RejectionSampler:
         if len(set(chosen)) < k:
             raise RankDeficientUpdateError(
                 f"the accepted pivots {chosen} repeat a row")
-        return PivotSet(chosen, self.m), rounds
+        return PivotSet._unchecked(chosen, self.m), rounds
 
 
 def rejection_rpqr(Q, rng, _accept_bias=0.0):
@@ -502,16 +646,27 @@ class SequentialSampler:
         # selected and spent columns get a negative floor so never look stale
         self._norms2, self._floor = norms2, 1e-8 * norms2
         self._cum, self._total = cum, total
+        # a residual mass at or below this is exhausted; keeping it a normal
+        # float keeps u * total < total, so no draw lands on a spent column
+        self._spent = max(1e-12 * total, sys.float_info.min)
         self._store = _StateStore()
+
+    def draws(self, rng, count):
+        """``count`` outcomes of :meth:`draw`, as
+        :meth:`RejectionSampler.draws` yields them: the uniforms of many
+        draws per generator call, and ``rng`` left as those calls leave it."""
+        blocks = _Blocks(rng, self.k)
+        return blocks.drawn(lambda: self.draw(blocks), count)
 
     def draw(self, rng):
         """One pivot set, drawn with ``rng``: the columns in selection order.
+        (:meth:`draws` passes its :class:`_Blocks` as ``rng``.)
 
         Raises
         ------
         RankDeficientError
-            The total squared residual norm fell below ``1e-12 * ||M||_F^2``
-            before ``k`` pivots were found.
+            The total squared residual norm fell below ``1e-12 * ||M||_F^2``,
+            or below the normal float range, before ``k`` pivots were found.
         """
         M, k, sparse, store = self.M, self.k, self._sparse, self._store
         d, m = M.shape
@@ -522,14 +677,15 @@ class SequentialSampler:
         done = 0  # the pivots the working state has taken in
         pivots = []
         while True:
-            if total <= 1e-12 * self._total:
+            if total <= self._spent:
                 raise RankDeficientError(
                     f"working matrix numerically exhausted after {len(pivots)} pivots"
                 )
             s = _draw_one(cum, total, rng)
             pivots.append(s)
             if len(pivots) == k:  # nothing reads the working state after this
-                return PivotSet(pivots, m)
+                # distinct, since a spent column weighs zero (see _spent)
+                return PivotSet._unchecked(pivots, m)
             key = key, s
             state = store.states.get(key)
             if state is not None:

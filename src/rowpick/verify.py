@@ -6,9 +6,10 @@ Every check derives its generator from the master seed and its position in
 the suite, so a fixed seed reproduces the report byte for byte. Each
 sampler check builds one :class:`~rowpick.samplers.SequentialSampler` and
 one :class:`~rowpick.samplers.RejectionSampler` on its basis and makes
-every draw through them, so the set-up runs once per basis and the draws
-read the states earlier draws stored; the draws are those of as many
-calls of :func:`~rowpick.samplers.rpqr_sequential` and
+every draw through their ``draws`` iterators, so the set-up runs once per
+basis, the uniforms are drawn many at a time, and the draws read the
+states earlier draws stored; the draws are those of as many calls of
+:func:`~rowpick.samplers.rpqr_sequential` and
 :func:`~rowpick.samplers.rejection_rpqr`, bit for bit.
 """
 
@@ -43,11 +44,6 @@ def _tv_limit(draws, pair=False):
 
 def _rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence((int(seed), index)))
-
-
-def _empirical(sample_fn, draws):
-    counts = Counter(sample_fn() for _ in range(draws))
-    return {t: c / draws for t, c in counts.items()}
 
 
 def _chi_square_pvalue(dist, empirical, draws):
@@ -137,9 +133,13 @@ def _sampler_laws(rng, bias, used, draws):
     Q = orth(rng.standard_normal((6, 2)))
     seq = SequentialSampler(Q.T, 2)
     rej = RejectionSampler(Q)
-    draw = (lambda: seq.draw(rng).as_tuple(),
-            lambda: rej.draw(rng, _accept_bias=bias)[0].as_tuple())
-    return [enumerate_volume_probs(Q, 2)] + [_empirical(draw[i], draws) for i in used]
+    samples = (lambda: seq.draws(rng, draws),
+               lambda: (pivots for pivots, _ in rej.draws(rng, draws, _accept_bias=bias)))
+    laws = [enumerate_volume_probs(Q, 2)]
+    for i in used:
+        counts = Counter(pivots.as_tuple() for pivots in samples[i]())
+        laws.append({t: c / draws for t, c in counts.items()})
+    return laws
 
 
 def verify_checks(seed=0, corrupt=False, draws=SAMPLER_DRAWS):

@@ -379,6 +379,22 @@ class TestRunBench:
             run_bench(SPEC, ["ARP"], k_list, seeds, out_path=str(tmp_path / "b"))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("spec", ["sparse-decay:m=300,n=40,nnz=3,seed=0",
+                                      "dense-decay:m=30,n=30,seed=0"])
+    @pytest.mark.parametrize("k_list, zeta, name", [
+        ([3], 0, "zeta"), ([3], -1, "zeta"), ([-2], 4, "k"), ([3, 0], 4, "k"),
+        ([2.5], 4, "k")])
+    def test_bad_rank_or_zeta_refused_before_the_build(self, spec, k_list, zeta, name,
+                                                       tmp_path, monkeypatch):
+        # a rank above min(m, n) is a failed cell, but one that is not an
+        # integer >= 1 is refused, as is zeta < 1, before any work
+        built = []
+        monkeypatch.setattr(MatrixSpec, "build", lambda self: built.append(self))
+        with pytest.raises(InvalidParamError, match=f"{name} must be an integer >= 1"):
+            run_bench(MatrixSpec.parse(spec), ["ARP", "RPQR"], k_list, [0], zeta=zeta,
+                      out_path=str(tmp_path / "b"))
+        assert not built and not list(tmp_path.iterdir())
+
     def test_failed_selection_fails_the_family(self):
         records = run_bench(SPEC, ["SkARP", "ARP", "ProjARP"], [45], [0])
         assert [r.method for r in records] == ["ARP", "ProjARP", "SkARP"]

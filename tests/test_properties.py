@@ -7,9 +7,12 @@ CSC copy from the same seed. The examples are derandomized, so the suite
 is deterministic. One more property checks ``orth`` taller than one leaf
 of its tall-skinny QR against ``orth`` in one leaf, one that every method
 skips the rows of ``A`` that hold no nonzero, and the last that draws
-from one sampler object are the draws of as many calls of the sampler's
-function form.
+from one sampler object, one at a time or through its ``draws``
+iterator, are the draws of as many calls of the sampler's function
+form.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -263,19 +266,42 @@ def _stream(draw_one, rng, n=60):
     return out, rng.bit_generator.state
 
 
+def _drawn_stream(draws, rng, n=60):
+    """:func:`_stream` through ``draws(rng, count)`` iterators: a new one
+    for the draws left after each error, which ends an iterator."""
+    out = []
+    while len(out) < n:
+        try:
+            for outcome in draws(rng, n - len(out)):
+                out.append(outcome)
+        except RowpickError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out, rng.bit_generator.state
+
+
 @PROPERTY_SETTINGS
 @given(sampler_cases())
 def test_sampler_objects_draw_the_function_streams(case):
+    # the cap also sizes the blocks of uniforms that draws() reads, so a
+    # binding cap makes each block one round or one draw long
     Q, M, k, bias, max_rounds, cap, seed = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(samplers, "MAX_ROUNDS", max_rounds)
         mp.setattr(samplers, "BLOCK_ENTRIES", cap)
-        rej = RejectionSampler(Q)
-        seq = SequentialSampler(M, k)
-        for one, many in [
+        for one, fresh, draw, draws in [
             (lambda rng: rejection_rpqr(Q, rng, _accept_bias=bias),
-             lambda rng: rej.draw(rng, _accept_bias=bias)),
-            (lambda rng: rpqr_sequential(M, k, rng), seq.draw),
+             lambda: RejectionSampler(Q),
+             lambda sampler, rng: sampler.draw(rng, _accept_bias=bias),
+             lambda sampler, rng, n: sampler.draws(rng, n, _accept_bias=bias)),
+            (lambda rng: rpqr_sequential(M, k, rng),
+             lambda: SequentialSampler(M, k),
+             lambda sampler, rng: sampler.draw(rng),
+             lambda sampler, rng, n: sampler.draws(rng, n)),
         ]:
             want = _stream(one, np.random.default_rng(seed))
-            assert _stream(many, np.random.default_rng(seed)) == want
+            warm = fresh()
+            assert _stream(partial(draw, warm), np.random.default_rng(seed)) == want
+            # draws() on a fresh object, then on the one that draw() warmed
+            for sampler in (fresh(), warm):
+                got = _drawn_stream(partial(draws, sampler), np.random.default_rng(seed))
+                assert got == want

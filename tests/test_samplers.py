@@ -144,6 +144,16 @@ class TestPivotSet:
         assert {a, b, PivotSet([2, 1], 5)} == {a, PivotSet([2, 1], 5)}
         assert PivotSet([1, 2], 5) in {a}
 
+    def test_unchecked_sets_equal_validated_ones(self):
+        # the samplers build their sets unchecked; they must compare and
+        # hash as the validated ones do
+        a, b = PivotSet._unchecked([3, 0, 2], 5), PivotSet(np.array([3, 0, 2]), 5)
+        assert a == b and hash(a) == hash(b)
+        assert a.indices.dtype == b.indices.dtype and a.m == b.m
+        assert list(a) == [3, 0, 2] and a.as_tuple() == (0, 2, 3)
+        assert a != PivotSet([0, 2, 3], 5) and a != PivotSet([3, 0, 2], 6)
+        assert {a, b} == {b}
+
 
 def multinomial(scores, count, rng):
     """``count`` iid draws with probability proportional to ``scores``, as
@@ -372,6 +382,16 @@ class TestRpqrSequential:
         with pytest.raises(RankDeficientError):
             rpqr_sequential(M, 2, rng)
 
+    def test_subnormal_residual_mass_refused(self):
+        # squared norms below the normal float range: u * total may round up
+        # to total, so a draw could land on a spent column; the sampler
+        # refuses such a residual as exhausted instead of repeating a pivot
+        M = np.random.default_rng(0).standard_normal((3, 8)) * 1e-161
+        for seed in range(50):
+            with pytest.raises(RankDeficientError, match="exhausted after 0 pivots"):
+                rpqr_sequential(M, 3, np.random.default_rng(seed))
+        assert len(set(rpqr_sequential(M * 1e11, 3, np.random.default_rng(0)))) == 3
+
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, sparse, bad):
@@ -564,20 +584,55 @@ class TestSamplerObjects:
         rng = np.random.default_rng(2)
 
         def checksums():
-            return {key: hashlib.sha256(state[0].tobytes()).hexdigest()
+            sums = {key: hashlib.sha256(state[0].tobytes()).hexdigest()
                     for sampler in (rej, seq)
                     for key, state in sampler._store.states.items()}
+            # the block sampler's residual diagonals, by round and prefix
+            sums.update(((key, prefix), hashlib.sha256(np.array(diag).tobytes()).hexdigest())
+                        for key, state in rej._store.states.items()
+                        for prefix, diag in state[3].items())
+            return sums
 
         for _ in range(300):
             rej.draw(rng)
             seq.draw(rng)
         before = checksums()
-        assert before
+        assert any(len(key) == 2 and isinstance(key[1], tuple) for key in before)
         for _ in range(300):
             rej.draw(rng)
             seq.draw(rng)
         after = checksums()
         assert {key: after[key] for key in before} == before
+
+    def test_draws_end_where_draw_calls_end(self, block_entries):
+        # an iterator closed early, exhausted or ended by an error leaves
+        # the generator where as many draw() calls leave it, whether its
+        # last block of uniforms was used up or not
+        Q = np.eye(6)[:, :2]  # an accept bias of 0.5 takes repeated rows
+        for cap in (2**12, 2**21):  # blocks of 8 uniforms, or of every draw's
+            block_entries(cap)
+            for sampler, kwargs in ((RejectionSampler(Q), {"_accept_bias": 0.5}),
+                                    (SequentialSampler(Q.T, 2), {})):
+                for taken in (0, 1, 7, 40, 41):  # 41: exhausted
+                    a, b = np.random.default_rng(taken), np.random.default_rng(taken)
+                    drawn = sampler.draws(a, 40, **kwargs)
+                    got = []
+                    try:
+                        while len(got) < taken:
+                            got.append(next(drawn))
+                    except StopIteration:
+                        pass
+                    except RankDeficientUpdateError as exc:
+                        got.append(str(exc))
+                    drawn.close()
+                    want = []
+                    for _ in range(len(got)):
+                        try:
+                            want.append(sampler.draw(b, **kwargs))
+                        except RankDeficientUpdateError as exc:
+                            want.append(str(exc))
+                    assert got == want
+                    assert a.bit_generator.state == b.bit_generator.state
 
     def test_warm_draws_factor_nothing(self, monkeypatch):
         # on criterion 02's basis every round's Gram recurs: once the store
@@ -598,6 +653,23 @@ class TestSamplerObjects:
         for _ in range(3000):
             rej.draw(rng)
         assert not absorbed
+
+    def test_warm_rounds_read_stored_diagonals(self, monkeypatch):
+        # once every round and its diagonals are stored, no round runs the
+        # computed accept pass
+        passes = []
+        real = samplers._accept_pass
+        monkeypatch.setattr(samplers, "_accept_pass",
+                            lambda *args: passes.append(1) or real(*args))
+        rej = RejectionSampler(orth(np.random.default_rng(2024).standard_normal((6, 2))))
+        rng = np.random.default_rng(1)
+        for _ in rej.draws(rng, 20000):
+            pass
+        assert passes
+        passes.clear()
+        for _ in rej.draws(rng, 3000):
+            pass
+        assert not passes
 
     @staticmethod
     def peak_mib(call):

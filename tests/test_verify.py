@@ -36,6 +36,27 @@ GOLDEN_SEED0 = (
     '15/15 checks passed\n'
 )
 
+# run_verify(seed=0, draws=DRAWS, corrupt=True), byte for byte: the
+# corrupted rejection sampler's first error ends each of its checks
+GOLDEN_SEED0_CORRUPT = (
+    'PASS  volume-probs-hand-cases            diag(2,1) k=1 and the 3x2 uniform case\n'
+    'PASS  volume-kdpp-equivalence            max per-subset gap 1.11e-16\n'
+    'PASS  volume-right-invariance            max per-subset gap 3.33e-16\n'
+    'PASS  expected-error-identity            worst relative gap 0.00e+00\n'
+    'PASS  active-regression-unbiased         worst relative gap 0.00e+00\n'
+    'PASS  active-regression-error-identity   worst relative gap 0.00e+00\n'
+    'PASS  worst-case-instance-suboptimality  k = 1..8\n'
+    'PASS  sequential-sampler-tv              TV 0.0120 at 6000 draws (limit 0.048)\n'
+    'FAIL  rejection-sampler-tv               raised RankDeficientUpdateError: the accepted pivots [3, 3] repeat a row\n'
+    'FAIL  cross-sampler-tv                   raised RankDeficientUpdateError: the accepted pivots [1, 1] repeat a row\n'
+    'PASS  sequential-sampler-chi-square      chi-square p-value 0.8\n'
+    'FAIL  rejection-sampler-chi-square       raised RankDeficientUpdateError: the accepted pivots [2, 2] repeat a row\n'
+    'PASS  sketch-structure-and-exactness     20 seeded embeddings\n'
+    'PASS  interpolation-property             worst ||W[S,:] - I|| = 0.00e+00\n'
+    'PASS  projection-beats-type1-ordering    20 seeded trials\n'
+    '12/15 checks passed\n'
+)
+
 
 class TestRunVerify:
     def test_fresh_run_passes_with_enough_checks(self):
@@ -52,6 +73,11 @@ class TestRunVerify:
         buf = io.StringIO()
         assert run_verify(seed=0, stream=buf, draws=DRAWS) == 0
         assert buf.getvalue() == GOLDEN_SEED0
+
+    def test_corrupt_report_matches_golden(self):
+        buf = io.StringIO()
+        assert run_verify(seed=0, stream=buf, draws=DRAWS, corrupt=True) == 1
+        assert buf.getvalue() == GOLDEN_SEED0_CORRUPT
 
     def test_report_deterministic(self):
         a, b = io.StringIO(), io.StringIO()
@@ -197,6 +223,17 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--matrix", "sparse-decay:m=300,n=40,nnz=3,seed=0", "--k", "3", "--zeta", "0"],
+        ["--matrix", "dense-decay:m=30,n=30,seed=0", "--k", "3", "--zeta", "0"],
+        ["--matrix", "kernel:g=4", "--k=-2"],
+    ])
+    def test_bench_bad_rank_or_zeta_exits_2(self, argv, tmp_path, capsys):
+        assert main(["bench"] + argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be an integer >= 1" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("draws", ["0", "-5"])
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
