@@ -125,8 +125,7 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0):
         try:
             pivots = rpqr_sequential(B.T, k, rng)
         except InvalidParamError:  # its message names its argument M = A^T
-            raise InvalidParamError("A has a NaN or infinite entry, or a squared "
-                                    "norm past the float range") from None
+            raise InvalidParamError("A has a NaN or infinite entry") from None
     return _lift_decomposition(rows, m, build_w(B, pivots, cfg, rng))
 
 

@@ -212,7 +212,8 @@ def rangefinder(A, k, zeta, rng):
 
 
 def _pinv_apply(A, B):
-    """``A @ pinv(B)`` with the documented rank-deficiency fallback."""
+    """``A @ pinv(B)``, for ``A`` as :func:`apply_pinv_right` takes it, with
+    the documented rank-deficiency fallback."""
     try:
         return apply_pinv_right(A, B), False
     except RankDeficientError:
@@ -247,14 +248,15 @@ def build_w(A, pivots, cfg, rng, basis=None):
     in the order of ``VARIANTS`` gives what separate :func:`arp_decompose`
     calls with the same seed give.
 
-    Every variant is ``X @ pinv(X[S, :])``, with ``X`` the basis ``Q``,
-    ``A`` itself, or the sketch ``A @ Phi``. When ``X[S, :]`` has full
-    numerical rank, the pivot rows of ``W``, which then equal the
-    identity in exact arithmetic, are set to it; otherwise ``W`` comes from
-    the truncated-SVD fallback, left as computed, and ``pinv_fallback`` is
-    set. ``osid`` takes ``X[S, :]`` as the sketch of ``A[S, :]``, which has
-    its bytes, and streams the sketch's row blocks into ``W``, so it forms
-    the whole sketch only for the fallback.
+    Every variant is ``X @ pinv(X[S, :])`` by :func:`_pinv_apply`, with
+    ``X`` the basis ``Q``, ``A`` itself, or the sketch ``A @ Phi``: the
+    ``n x k`` pseudoinverse is formed once, then multiplied by ``X``. When
+    ``X[S, :]`` has full numerical rank, the pivot rows of ``W``, which then
+    equal the identity in exact arithmetic, are set to it; otherwise ``W``
+    comes from the truncated-SVD fallback, left as computed, and
+    ``pinv_fallback`` is set. ``osid`` takes ``X[S, :]`` as the sketch of
+    ``A[S, :]``, which has its bytes, and streams the sketch's row blocks
+    into ``W``, the fallback's too, so it never forms the whole sketch.
 
     ``W`` is built on every row of ``A`` (see Empty rows in the module
     docstring), whose rows ``pivots`` and ``basis`` must index; other row
@@ -273,11 +275,7 @@ def build_w(A, pivots, cfg, rng, basis=None):
     else:
         width = _round_up_multiple(int(round(cfg.oversample * cfg.k)), cfg.zeta)
         Y = _SketchRows(A, sparse_sign_embedding(A.shape[1], width, cfg.zeta, rng))
-        B = sketch_apply(_take_rows(Y.A, S), Y.omega)
-        try:
-            W, fallback = apply_pinv_right(Y, B), False
-        except RankDeficientError:
-            W, fallback = svd_pinv_apply(sketch_apply(Y.A, Y.omega), B), True
+        W, fallback = _pinv_apply(Y, sketch_apply(_take_rows(Y.A, S), Y.omega))
     if not fallback:
         W[S, :] = np.eye(len(pivots))
     return InterpolativeDecomposition(
@@ -311,14 +309,14 @@ def fro_norm(A):
     return vector_norm(x)
 
 
-def residual_fro(A, dec, block_rows=None):
+def residual_fro(A, dec):
     """Frobenius norm of ``A - W @ A[S, :]``, dense or sparse ``A``.
 
-    Runs over blocks of ``block_rows`` rows, by default as many as fit
-    ``BLOCK_ENTRIES`` float64 entries (16 MB) of the product ``W @ A[S, :]``
-    and of the rows of ``W`` gathered for it when rows are skipped (below).
-    The memory it needs is that one block plus ``A[S, :]``, and for sparse
-    ``A`` a canonical CSR copy when ``A`` is not one, whatever the row count.
+    Runs over blocks of as many rows as fit ``BLOCK_ENTRIES`` float64
+    entries (16 MB) of the product ``W @ A[S, :]`` and of the rows of ``W``
+    gathered for it when rows are skipped (below). The memory it needs is
+    that one block plus ``A[S, :]``, and for sparse ``A`` a canonical CSR
+    copy when ``A`` is not one, whatever the row count.
     Each block is scaled by the power of two :func:`fro_norm` uses, so
     ``residual_fro(A, dec) / fro_norm(A)`` does not change when ``A`` is
     scaled by a power of two.
@@ -339,8 +337,6 @@ def residual_fro(A, dec, block_rows=None):
         raise DimensionMismatchError("W row count must match A")
     if len(S) != W.shape[1]:
         raise DimensionMismatchError("W column count must match the pivot count")
-    if block_rows is not None and block_rows < 1:
-        raise InvalidParamError("block_rows must be >= 1")
     sparse = sp.issparse(A)
     rows = None
     if sparse:
@@ -364,10 +360,9 @@ def residual_fro(A, dec, block_rows=None):
             A = sp.csr_array((A.data, A.indices, A.indptr[np.append(rows, A.shape[0])]),
                              shape=(rows.size, A.shape[1]))
     width = R.shape[1]
-    if block_rows is None:
-        # the block of the product, and the rows of W gathered for it
-        gathered = 0 if rows is None else W.shape[1]
-        block_rows = max(1, BLOCK_ENTRIES // max(width + gathered, 1))
+    # the block of the product, and the rows of W gathered for it
+    gathered = 0 if rows is None else W.shape[1]
+    block_rows = max(1, BLOCK_ENTRIES // max(width + gathered, 1))
     buf = np.empty((min(block_rows, A.shape[0]), width))
     total = 0.0
     for lo, hi in _row_blocks(A, block_rows):

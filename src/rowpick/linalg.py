@@ -17,18 +17,19 @@ Conventions used throughout the library:
   one leaf is one Householder QR. The leaf height is a constant of its
   own, not an option and not tied to ``BLOCK_ENTRIES``, so a basis keeps
   its bits whatever the block size of the other passes;
-* :func:`orth` and the samplers, with the block sampler's QR, run on
-  numpy's BLAS and LAPACK. numpy and scipy each bundle their own OpenBLAS,
-  whose idle worker threads spin for about 0.1 s after a threaded call; on
-  a two-core machine a threaded call into the other library meanwhile runs
-  several times slower, which a sampler called right after ``orth`` would
-  pay.
+* ``A @ pinv(B)``, by QR or (for a rank-deficient ``B``) SVD, forms the
+  ``n x k`` pseudoinverse once, then takes one product with ``A``;
+* this module and the samplers, with the block sampler's QR, run on
+  numpy's BLAS and LAPACK only. numpy and scipy each bundle their own
+  OpenBLAS, whose idle worker threads spin for about 0.1 s after a
+  threaded call; on a two-core machine a threaded call into the other
+  library meanwhile runs several times slower, which a ``W`` built right
+  after the sampler would pay.
 """
 
 import math
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import (
@@ -219,14 +220,10 @@ def _tsqr(B, leaf):
 def apply_pinv_right(A, B):
     """Compute ``A @ pinv(B)`` for a full-row-rank ``B`` via QR of ``B^T``.
 
-    Never forms normal equations. ``A`` may be dense, a scipy sparse
-    matrix, or a matrix given by its row blocks: an object with ``shape``
-    whose iteration yields ``(lo, hi, block)`` for consecutive row ranges,
-    such as the sketch the ``osid`` variant streams. Each block's product
-    with ``Q_b`` is written into its rows of the one dense result, and the
-    triangular solve runs there in place, so a block stream is never held
-    whole. A dense or sparse ``A`` is one block, whose product is already
-    the result's own buffer.
+    Never forms normal equations. From ``B^T = Q_b R_b`` the ``n x k``
+    ``pinv(B) = Q_b R_b^{-T}`` is formed once, as ``Q_b`` times the inverse
+    of the triangular ``R_b`` (whose LU makes no row swaps), and ``Q_b`` is
+    freed before the one product with ``A`` (see :func:`_right_product`).
 
     Parameters
     ----------
@@ -244,42 +241,38 @@ def apply_pinv_right(A, B):
     kb, n = B.shape
     if kb > n:
         raise DimensionMismatchError(f"B must have rows <= cols, got {kb}x{n}")
-    if A.shape[1] != n:
-        raise DimensionMismatchError(
-            f"A has {A.shape[1]} columns but B has {n}"
-        )
-    Qb, Rb = sla.qr(B.T, mode="economic")
-    diag = np.abs(np.diag(Rb))
-    if kb == 0 or np.min(diag) <= RANK_RTOL * vector_norm(B.ravel(order="K")):
+    Qb, Rb = np.linalg.qr(B.T)
+    if kb == 0 or np.abs(np.diag(Rb)).min() <= RANK_RTOL * vector_norm(B.ravel(order="K")):
         raise RankDeficientError(
             "B is numerically row rank deficient; pseudoinverse via QR refused"
         )
-    # A B^+ = (A Q_b) R_b^{-T}
-    if isinstance(A, np.ndarray) or sp.issparse(A):
-        W = np.ascontiguousarray(A @ Qb)
-        _solve_rt(Rb, W)
-        return W
-    W = np.empty((A.shape[0], kb))
-    for lo, hi, X in A:
-        _solve_rt(Rb, np.matmul(X, Qb, out=W[lo:hi]))
-        del X  # before the next block is made
-    return W
-
-
-def _solve_rt(R, Y):
-    """``Y <- Y R^{-T}`` for upper triangular ``R`` and C-order ``Y``: a
-    standard triangular solve on ``Y^T``, in place, as ``Y^T`` is in the
-    Fortran order LAPACK works in."""
-    X = sla.solve_triangular(R, Y.T, lower=False, overwrite_b=True)
-    if not np.shares_memory(X, Y):
-        Y[...] = X.T
+    P = Qb @ np.linalg.inv(Rb).T
+    del Qb  # before the m-row product
+    return _right_product(A, P)
 
 
 def svd_pinv_apply(A, B):
-    """Fallback ``A @ pinv(B)`` through a truncated SVD of ``B``.
+    """Fallback ``A @ pinv(B)`` through a truncated SVD of ``B``, with ``A``
+    as :func:`apply_pinv_right` takes it.
 
     Singular values below ``RANK_RTOL`` times the largest are treated as
     zero. Used when :func:`apply_pinv_right` refuses a rank-deficient ``B``.
     """
-    B = _as_matrix(B, "B")
-    return np.asarray(A @ np.linalg.pinv(B, rcond=RANK_RTOL))
+    return _right_product(A, np.linalg.pinv(_as_matrix(B, "B"), rcond=RANK_RTOL))
+
+
+def _right_product(A, P):
+    """``A @ P`` as a C-order array, for a small ``P`` (n x k) and ``A``
+    dense, scipy sparse, or given by its row blocks: an object with
+    ``shape`` whose iteration yields ``(lo, hi, block)`` for consecutive
+    row ranges, such as the sketch ``osid`` streams. Each block's product
+    is written into its rows of the result, so no stream is held whole."""
+    if A.shape[1] != P.shape[0]:
+        raise DimensionMismatchError(f"A has {A.shape[1]} columns but B has {P.shape[0]}")
+    if isinstance(A, np.ndarray) or sp.issparse(A):
+        return np.ascontiguousarray(A @ P)
+    W = np.empty((A.shape[0], P.shape[1]))
+    for lo, hi, X in A:
+        np.matmul(X, P, out=W[lo:hi])
+        del X  # before the next block is made
+    return W

@@ -39,11 +39,12 @@ from .errors import (
     RankDeficientError,
     RankDeficientUpdateError,
 )
-from .linalg import BLOCK_ENTRIES, RANK_RTOL, _canonical
+from .linalg import BLOCK_ENTRIES, RANK_RTOL, _canonical, _scale_exponent, _scaled
 
 ACCEPT_SLACK = 1e-12  # roundoff allowance on acceptance ratios
 MAX_ROUNDS = 64  # proposal rounds of the block sampler before it gives up
 _OBJECT_BYTES = 128  # state store allowance: a Python object, or a key or list entry
+_NORMAL_TOTAL = sys.float_info.min / 1e-12  # least ||M||_F^2 drawn unscaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,23 +602,25 @@ class SequentialSampler:
     The constructor checks ``M`` and ``k`` and computes the squared column
     norms, their floors and cumulative sum once. It keeps a reference to
     ``M`` (a dense float64 ``M`` is not copied) and never writes it: the
-    caller must not write ``M`` while the object is alive. The cumulative
-    norms after each pivot prefix, which the next step draws from, are a
-    deterministic function of that prefix, so the object stores them by it
-    (see :class:`_StateStore`) and later draws read them. A draw copies the
-    norms and floors at its first missing step and takes in the pivots
-    before it there, in order. Every draw consumes the same uniforms and
-    raises the same errors as :func:`rpqr_sequential` on the same
-    generator. One object is not safe to draw from in several threads at
-    once.
+    caller must not write ``M`` while the object is alive. An ``M`` whose
+    squared norms sum below ``sys.float_info.min / 1e-12`` or overflow is
+    kept scaled instead, by the power of two that brings its largest entry
+    into ``[1/2, 1)``, which draws the pivots ``M`` would in exact
+    arithmetic. The cumulative norms after each pivot prefix, which the
+    next step draws from, are a deterministic function of that prefix, so
+    the object stores them by it (see :class:`_StateStore`) and later draws
+    read them. A draw copies the norms and floors at its first missing step
+    and takes in the pivots before it there, in order. Every draw consumes
+    the same uniforms and raises the same errors as :func:`rpqr_sequential`
+    on the same generator. One object is not safe to draw from in several
+    threads at once.
 
     Raises
     ------
     DimensionMismatchError
         ``M`` is not 2-D, or ``k`` is not in ``[1, min(M.shape)]``.
     InvalidParamError
-        ``M`` has a NaN or infinite entry, or a squared norm past the float
-        range.
+        ``M`` has a NaN or infinite entry.
     """
 
     def __init__(self, M, k):
@@ -638,9 +641,15 @@ class SequentialSampler:
             norms2 = np.einsum("ij,ij->j", M, M)
         cum = norms2.cumsum()
         total = float(cum[-1])
-        if not math.isfinite(total):
-            raise InvalidParamError(
-                "M has a NaN or infinite entry, or a squared norm past the float range")
+        if not _NORMAL_TOTAL <= total < math.inf:
+            # M scaled by a power of two draws the same pivots, in the window
+            e = _scale_exponent(M.data if sparse else M)  # 0 if M is zero or not finite
+            if e:
+                if sparse:
+                    M = sp.csc_array((_scaled(M.data, e), M.indices, M.indptr), shape=M.shape)
+                return self.__init__(M if sparse else _scaled(M, e), k)
+            if not math.isfinite(total):
+                raise InvalidParamError("M has a NaN or infinite entry")
         self.M, self.k, self._sparse = M, k, sparse
         # cancellation floor: 1e-8 of each squared norm at its last computation;
         # selected and spent columns get a negative floor so never look stale

@@ -362,11 +362,10 @@ class TestStreamedW:
         block_entries(100)
         assert decompositions() == whole
 
-    def test_osid_never_forms_the_sketch(self):
-        A = gen_decay_sparse(40000, 1000, 30, np.random.default_rng(0))
-        cfg = ArpConfig(k=60, seed=0)
-        rng = np.random.default_rng(0)
-        _, pivots = select_pivots(A, cfg, rng)
+    @staticmethod
+    def _osid_within_bound(A, pivots, cfg, rng):
+        """``build_w`` of ``osid``, asserted to stay under a peak that the
+        whole sketch would exceed; returns the decomposition."""
         tracemalloc.start()
         try:
             dec = build_w(A, pivots, cfg, rng)
@@ -380,6 +379,24 @@ class TestStreamedW:
         bound = dec.w.nbytes + 9 * BLOCK_ENTRIES + 8 * width * A.shape[1]
         assert bound < dec.w.nbytes + sketch
         assert peak < bound
+        return dec
+
+    def test_osid_never_forms_the_sketch(self):
+        A = gen_decay_sparse(40000, 1000, 30, np.random.default_rng(0))
+        cfg = ArpConfig(k=60, seed=0)
+        rng = np.random.default_rng(0)
+        _, pivots = select_pivots(A, cfg, rng)
+        self._osid_within_bound(A, pivots, cfg, rng)
+
+    def test_osid_fallback_streams(self):
+        # an empty pivot row makes the sketch of A[S, :] rank deficient
+        A = gen_decay_sparse(40000, 1000, 30, np.random.default_rng(0))
+        cfg = ArpConfig(k=60, seed=0)
+        rng = np.random.default_rng(0)
+        _, pivots = select_pivots(A, cfg, rng)
+        empty = np.flatnonzero(np.diff(sp.csr_array(A).indptr) == 0)[0]
+        pivots = PivotSet(np.append(pivots.indices[:-1], empty), A.shape[0])
+        assert self._osid_within_bound(A, pivots, cfg, rng).pinv_fallback
 
 
 class TestResidualFro:
@@ -409,16 +426,44 @@ class TestResidualFro:
             "csc-duplicates": sp.csc_array((halves, rows, 2 * A.indptr), shape=A.shape),
         }
 
+    @staticmethod
+    def _blocks_seen(monkeypatch):
+        """The ``(lo, hi)`` row blocks ``residual_fro`` runs over, as a list
+        that fills as it runs."""
+        import rowpick.decompose as decompose
+
+        seen, row_blocks = [], decompose._row_blocks
+
+        def recorded(A, block_rows):
+            for block in row_blocks(A, block_rows):
+                seen.append(block)
+                yield block
+
+        monkeypatch.setattr(decompose, "_row_blocks", recorded)
+        return seen
+
     @pytest.mark.parametrize("block", [1, 37, "m", "m+5"])
     @pytest.mark.parametrize(
         "form", ["dense", "csc", "csr", "coo-duplicates", "csc-duplicates"])
-    def test_row_blocks_match_dense(self, form, block):
+    def test_row_blocks_match_dense(self, form, block, block_entries, monkeypatch):
         rng = np.random.default_rng(1)
         A = gen_decay_sparse(300, 120, 10, rng)
         cfg = ArpConfig(k=6, zeta=2, variant="type2", seed=3)
         dec = arp_decompose(A, cfg)
         block_rows = {"m": 300, "m+5": 305}.get(block, block)
-        blocked = residual_fro(self._inputs(A)[form], dec, block_rows=block_rows)
+        # residual_fro's row of a block: the product's columns (the columns
+        # the pivot rows touch, for sparse A), plus the gathered row of W when
+        # it skips rows, which it does for the empty rows of sparse A
+        if form == "dense":
+            per_row = A.shape[1]
+        else:
+            skips = (np.diff(sp.csr_array(A).indptr) == 0).any()
+            per_row = self._support(A, dec) + (dec.w.shape[1] if skips else 0)
+        block_entries(block_rows * per_row)
+        seen = self._blocks_seen(monkeypatch)
+        blocked = residual_fro(self._inputs(A)[form], dec)
+        assert {hi - lo for lo, hi in seen[:-1]} <= {block_rows}
+        assert 0 < seen[-1][1] - seen[-1][0] <= block_rows
         assert blocked == pytest.approx(self._dense_residual(A, dec), rel=1e-12)
 
     @staticmethod
@@ -441,8 +486,8 @@ class TestResidualFro:
         got = residual_fro(self._inputs(A)[form], dec)
         assert got == pytest.approx(self._dense_residual(A, dec), rel=1e-12)
 
-    @pytest.mark.parametrize("block_rows", [None, 1, 7])
-    def test_empty_support_gives_matrix_norm(self, block_rows):
+    @pytest.mark.parametrize("entries", [None, 1, 7])
+    def test_empty_support_gives_matrix_norm(self, entries, block_entries):
         from rowpick import PivotSet
 
         A = sp.random_array((30, 12), density=0.3, format="lil",
@@ -455,7 +500,10 @@ class TestResidualFro:
             config=ArpConfig(k=2, variant="type2"),
         )
         assert self._support(A, dec) == 0
-        got = residual_fro(A, dec, block_rows=block_rows)
+        if entries is not None:
+            # an empty product: blocks of at most this many stored entries
+            block_entries(entries)
+        got = residual_fro(A, dec)
         assert got == pytest.approx(np.linalg.norm(A.toarray()), rel=1e-12)
         assert got == pytest.approx(self._dense_residual(A, dec), rel=1e-12)
 
@@ -508,12 +556,6 @@ class TestResidualFro:
         assert all(ptr[hi] - ptr[lo] <= 40 for lo, hi in blocks if hi - lo > 1)
         got = residual_fro(A, dec)
         assert got == pytest.approx(self._dense_residual(A, dec), rel=1e-12)
-
-    def test_block_rows_validated(self):
-        A = np.eye(4)
-        dec = arp_decompose(A, ArpConfig(k=2, zeta=1, variant="type1", seed=0))
-        with pytest.raises(InvalidParamError):
-            residual_fro(A, dec, block_rows=0)
 
     def test_sparse_memory_bounded(self):
         A = gen_decay_sparse(20000, 2000, 30, np.random.default_rng(0))

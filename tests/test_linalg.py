@@ -329,8 +329,7 @@ class TestApplyPinvRight:
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_inputs_unchanged_result_row_major(self, sparse):
-        # the triangular solve overwrites its right-hand side in place,
-        # which must be the product A Q_b and never A or B
+        # the result is a new C-order array; A and B are never written
         rng = np.random.default_rng(9)
         B = rng.standard_normal((3, 7))
         A = rng.standard_normal((12, 7))

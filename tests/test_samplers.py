@@ -382,15 +382,17 @@ class TestRpqrSequential:
         with pytest.raises(RankDeficientError):
             rpqr_sequential(M, 2, rng)
 
-    def test_subnormal_residual_mass_refused(self):
-        # squared norms below the normal float range: u * total may round up
-        # to total, so a draw could land on a spent column; the sampler
-        # refuses such a residual as exhausted instead of repeating a pivot
-        M = np.random.default_rng(0).standard_normal((3, 8)) * 1e-161
+    def test_subnormal_residual_mass_rescaled(self):
+        # squared norms below the normal float range would make u * total
+        # round up to total, and past it overflow; the sampler scales M by a
+        # power of two first, which keeps every draw
+        M = np.random.default_rng(0).standard_normal((3, 8))
         for seed in range(50):
-            with pytest.raises(RankDeficientError, match="exhausted after 0 pivots"):
-                rpqr_sequential(M, 3, np.random.default_rng(seed))
-        assert len(set(rpqr_sequential(M * 1e11, 3, np.random.default_rng(0)))) == 3
+            want = rpqr_sequential(M, 3, np.random.default_rng(seed))
+            for scale in (2.0**-540, 2.0**540):
+                for form in (np.asarray, sp.csc_array):
+                    got = rpqr_sequential(form(M * scale), 3, np.random.default_rng(seed))
+                    assert got == want
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
