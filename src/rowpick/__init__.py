@@ -36,8 +36,6 @@ from .errors import (
     MaxRoundsExceededError,
     NotOrthonormalError,
     NotPSDError,
-    ParseError,
-    RaggedTableError,
     RankDeficientError,
     RankDeficientUpdateError,
     RowpickError,
@@ -54,7 +52,6 @@ from .matrices import (
     gen_decay_dense,
     gen_decay_sparse,
     gen_kernel,
-    load_geo_series_matrix,
 )
 from .oracle import (
     SubsetDistribution,
@@ -93,10 +90,8 @@ __all__ = [
     "MaxRoundsExceededError",
     "NotOrthonormalError",
     "NotPSDError",
-    "ParseError",
     "PivotSet",
     "RANK_RTOL",
-    "RaggedTableError",
     "RankDeficientError",
     "RankDeficientUpdateError",
     "RejectionSampler",
@@ -117,7 +112,6 @@ __all__ = [
     "gen_decay_dense",
     "gen_decay_sparse",
     "gen_kernel",
-    "load_geo_series_matrix",
     "optimality_instance",
     "orth",
     "rangefinder",

@@ -27,7 +27,7 @@ def _add_matrix_arg(parser):
         help="matrix descriptor, e.g. 'kernel:g=40', "
              "'dense-decay:m=2000,n=2000,seed=0', "
              "'sparse-decay:m=100000,n=2000,nnz=30', "
-             "'geo-file:path=FILE', 'file:path=FILE.npy'",
+             "'file:path=FILE' (.npy dense, .npz sparse as gen writes it)",
     )
     parser.add_argument(
         "--full-scale", action="store_true",

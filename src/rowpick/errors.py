@@ -44,19 +44,3 @@ class TooLargeError(RowpickError, ValueError):
 class MaxRoundsExceededError(RowpickError, RuntimeError):
     """The block rejection sampler hit its round cap without completing."""
 
-
-class ParseError(RowpickError, ValueError):
-    """A data file is malformed.
-
-    Carries the 1-based line number when one is known.
-    """
-
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
-
-
-class RaggedTableError(ParseError):
-    """A table row has a different number of fields than the header."""

@@ -1,22 +1,14 @@
-"""Test-matrix generators and the GEO series-matrix reader used by the
-benchmark harness.
+"""Test-matrix generators and the matrix descriptors of the benchmark
+harness, including ``file:`` for a matrix saved to disk.
 """
 
-import gzip
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidParamError,
-    ParseError,
-    RaggedTableError,
-)
-
-GEO_EXPECTED_SHAPE = (107, 22283)  # samples x probes of the reference dataset
+from .errors import DimensionMismatchError, InvalidParamError
+from .linalg import _canonical
 
 
 def gen_decay_dense(m, n, rng):
@@ -80,101 +72,12 @@ def gen_kernel(grid_side):
     return np.reciprocal(K, out=K)
 
 
-def _open_text(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, "r", encoding="utf-8", errors="replace")
-
-
-def _strip_quotes(cell):
-    cell = cell.strip()
-    if len(cell) >= 2 and cell[0] == '"' and cell[-1] == '"':
-        return cell[1:-1]
-    return cell
-
-
-def load_geo_series_matrix(path):
-    """Read a GEO series-matrix file into a samples x probes dense matrix.
-
-    The format: lines starting with ``!`` are metadata; the tab-separated
-    numeric table sits between the ``table_begin`` and ``table_end`` marker
-    lines; its first row is the sample identifiers and its first column the
-    probe identifiers. The returned matrix is the table transposed (rows =
-    samples). Gzip-compressed files are accepted.
-
-    A shape other than 107 x 22283 (the reference dataset) produces a
-    warning, not an error.
-
-    Raises
-    ------
-    FileNotFoundError
-    ParseError
-        Missing markers, no data, or an unparseable value (reported with
-        its 1-based line number).
-    RaggedTableError
-        A data row whose field count differs from the header's.
-    """
-    header = None
-    rows = []
-    in_table = False
-    ended = False
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not in_table:
-                if line.startswith("!") and "table_begin" in line.lower():
-                    in_table = True
-                continue
-            if line.startswith("!"):
-                if "table_end" in line.lower():
-                    ended = True
-                    break
-                continue  # stray metadata inside the table is skipped
-            if not line.strip():
-                continue
-            cells = line.split("\t")
-            if header is None:
-                header = [_strip_quotes(c) for c in cells]
-                if len(header) < 2:
-                    raise ParseError("table header has no sample columns", lineno)
-                continue
-            if len(cells) != len(header):
-                raise RaggedTableError(
-                    f"row has {len(cells)} fields, header has {len(header)}",
-                    lineno,
-                )
-            values = np.empty(len(cells) - 1)
-            for j, cell in enumerate(cells[1:]):
-                try:
-                    values[j] = float(_strip_quotes(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"unparseable value {cell!r} in column {j + 2}", lineno
-                    ) from None
-            rows.append(values)
-    if not in_table:
-        raise ParseError("no table_begin marker found")
-    if not ended:
-        raise ParseError("no table_end marker found")
-    if header is None or not rows:
-        raise ParseError("table contains no data rows")
-    table = np.vstack(rows)  # probes x samples
-    out = np.ascontiguousarray(table.T)
-    if out.shape != GEO_EXPECTED_SHAPE:
-        warnings.warn(
-            f"series matrix is {out.shape[0]} samples x {out.shape[1]} probes; "
-            f"the reference dataset is {GEO_EXPECTED_SHAPE[0]} x {GEO_EXPECTED_SHAPE[1]}",
-            stacklevel=2,
-        )
-    return out
-
-
 # descriptor defaults: (desk scale, full scale)
 _DENSE_SIZES = ((2000, 2000), (10000, 10000))
 _SPARSE_SIZES = ((100000, 2000, 30), (1000000, 10000, 30))
 _KERNEL_SIDES = (40, 100)
 
-KINDS = ("dense-decay", "sparse-decay", "kernel", "geo-file", "file")
+KINDS = ("dense-decay", "sparse-decay", "kernel", "file")
 
 
 @dataclass(frozen=True)
@@ -182,7 +85,7 @@ class MatrixSpec:
     """Descriptor for a benchmark matrix; parse/describe round-trips.
 
     Generator kinds (``dense-decay``, ``sparse-decay``, ``kernel``) build
-    deterministically from their parameters and ``seed``; file kinds load
+    deterministically from their parameters and ``seed``; ``file`` loads
     from ``path``.
     """
 
@@ -203,14 +106,14 @@ class MatrixSpec:
                 raise InvalidParamError(f"{name} must be positive")
         if self.seed < 0:
             raise InvalidParamError(f"seed must be >= 0, got {self.seed}")
-        if self.kind in ("geo-file", "file") and not self.path:
+        if self.kind == "file" and not self.path:
             raise InvalidParamError(f"kind {self.kind!r} requires a path")
 
     @classmethod
     def parse(cls, text, full_scale=False):
         """Parse ``kind[:key=value,...]`` descriptors, e.g.
         ``kernel:g=40``, ``dense-decay:m=500,n=300,seed=7``,
-        ``geo-file:path=GSE10072_series_matrix.txt``. Missing sizes fall
+        ``file:path=A.npz``. Missing sizes fall
         back to desk-scale defaults (paper-scale with ``full_scale``).
         """
         kind, _, rest = text.partition(":")
@@ -237,7 +140,7 @@ class MatrixSpec:
         if kind == "kernel":
             return cls(kind, grid_side=_pop_int(kv, "g", _KERNEL_SIDES[scale]),
                        **_reject_extra(kv))
-        if kind in ("geo-file", "file"):
+        if kind == "file":
             path = kv.pop("path", None)
             if path is None:
                 raise InvalidParamError(f"{kind} descriptor needs path=...")
@@ -264,13 +167,27 @@ class MatrixSpec:
             )
         if self.kind == "kernel":
             return gen_kernel(self.grid_side)
-        if self.kind == "geo-file":
-            return load_geo_series_matrix(self.path)
-        loaded = np.load(self.path)
-        arr = np.asarray(loaded, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DimensionMismatchError(f"{self.path} does not hold a 2-D array")
-        return arr
+        return _load_file(self.path)
+
+
+def _load_file(path):
+    """The matrix saved at ``path``: a ``.npy`` array as a dense array, or a
+    ``.npz`` that ``scipy.sparse.save_npz`` wrote as a canonical CSC array,
+    as ``np.load`` finds. Anything but a real 2-D matrix is refused."""
+    try:
+        A = np.load(path)
+        if isinstance(A, np.lib.npyio.NpzFile):
+            A.close()
+            A = sp.load_npz(path)
+    except (ValueError, EOFError) as exc:
+        raise InvalidParamError(f"{path} does not hold a saved matrix: {exc}") from None
+    if A.dtype.kind not in "biuf":
+        raise InvalidParamError(f"{path} holds {A.dtype} values, not real numbers")
+    if A.ndim != 2:
+        raise DimensionMismatchError(f"{path} does not hold a 2-D array")
+    if sp.issparse(A):
+        return _canonical(A, sp.csc_array).astype(np.float64, copy=False)
+    return np.asarray(A, dtype=np.float64)
 
 
 def _pop_int(kv, key, default):

@@ -103,11 +103,11 @@ def _check_expected_error_identity(rng):
     return worst <= 1e-10, f"worst relative gap {worst:.2e}"
 
 
-def _check_active_regression(rng, trials=20):
+def _check_active_regression(rng):
     """Outcomes of the unbiasedness and the error identity, from one run of
     the enumeration."""
     worst_beta = worst_err = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         m = int(rng.integers(4, 8))
         k = int(rng.integers(1, min(m, 3) + 1))
         X = rng.standard_normal((m, k))

@@ -1,19 +1,15 @@
-"""Generator and GEO-reader tests."""
-
-import gzip
+"""Generator and matrix-descriptor tests."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rowpick import (
     InvalidParamError,
     MatrixSpec,
-    ParseError,
-    RaggedTableError,
     gen_decay_dense,
     gen_decay_sparse,
     gen_kernel,
-    load_geo_series_matrix,
 )
 
 
@@ -96,77 +92,6 @@ class TestKernel:
         assert gen_kernel(3).tobytes() == gen_kernel(3).tobytes()
 
 
-def _write_series_matrix(path, body):
-    path.write_text(body, encoding="utf-8")
-    return str(path)
-
-
-GOOD_FILE = """!Series_title "tiny fixture"
-!Series_platform_id GPL96
-!series_matrix_table_begin
-"ID_REF"\t"GSM1"\t"GSM2"
-"probe_a"\t1.5\t2.5
-"probe_b"\t-3.0\t4.0
-"probe_c"\t5.0\t6.5
-!series_matrix_table_end
-!Series_end whatever
-"""
-
-
-class TestGeoLoader:
-    def test_transposed_orientation(self, tmp_path):
-        path = _write_series_matrix(tmp_path / "tiny.txt", GOOD_FILE)
-        with pytest.warns(UserWarning, match="reference dataset"):
-            M = load_geo_series_matrix(path)
-        assert M.shape == (2, 3)  # samples x probes
-        np.testing.assert_array_equal(M, [[1.5, -3.0, 5.0], [2.5, 4.0, 6.5]])
-
-    def test_comment_inside_table_skipped(self, tmp_path):
-        body = GOOD_FILE.replace(
-            '"probe_b"', '!stray comment line\n"probe_b"'
-        )
-        path = _write_series_matrix(tmp_path / "comment.txt", body)
-        with pytest.warns(UserWarning):
-            M = load_geo_series_matrix(path)
-        assert M.shape == (2, 3)
-
-    def test_gzip_accepted(self, tmp_path):
-        path = tmp_path / "tiny.txt.gz"
-        with gzip.open(path, "wt", encoding="utf-8") as fh:
-            fh.write(GOOD_FILE)
-        with pytest.warns(UserWarning):
-            M = load_geo_series_matrix(str(path))
-        assert M.shape == (2, 3)
-
-    def test_missing_file(self):
-        with pytest.raises(FileNotFoundError):
-            load_geo_series_matrix("/nonexistent/file.txt")
-
-    def test_ragged_row(self, tmp_path):
-        body = GOOD_FILE.replace('"probe_b"\t-3.0\t4.0', '"probe_b"\t-3.0')
-        path = _write_series_matrix(tmp_path / "ragged.txt", body)
-        with pytest.raises(RaggedTableError, match="line 6"):
-            load_geo_series_matrix(path)
-
-    def test_bad_value_reports_line(self, tmp_path):
-        body = GOOD_FILE.replace("-3.0", "oops")
-        path = _write_series_matrix(tmp_path / "bad.txt", body)
-        with pytest.raises(ParseError, match="line 6"):
-            load_geo_series_matrix(path)
-
-    def test_missing_begin_marker(self, tmp_path):
-        body = GOOD_FILE.replace("!series_matrix_table_begin\n", "")
-        path = _write_series_matrix(tmp_path / "nobegin.txt", body)
-        with pytest.raises(ParseError, match="table_begin"):
-            load_geo_series_matrix(path)
-
-    def test_missing_end_marker(self, tmp_path):
-        body = GOOD_FILE.replace("!series_matrix_table_end\n", "")
-        path = _write_series_matrix(tmp_path / "noend.txt", body)
-        with pytest.raises(ParseError, match="table_end"):
-            load_geo_series_matrix(path)
-
-
 class TestMatrixSpec:
     def test_parse_describe_roundtrip(self):
         spec = MatrixSpec.parse("dense-decay:m=50,n=30,seed=7")
@@ -200,14 +125,21 @@ class TestMatrixSpec:
         np.save(path, arr)
         spec = MatrixSpec.parse(f"file:path={path}")
         np.testing.assert_array_equal(spec.build(), arr)
+        # a .npz as scipy saves a sparse matrix loads as a canonical CSC array
+        sp.save_npz(tmp_path / "s.npz", sp.csr_matrix(arr))
+        B = MatrixSpec.parse(f"file:path={tmp_path / 's.npz'}").build()
+        assert isinstance(B, sp.csc_array) and B.has_canonical_format
+        np.testing.assert_array_equal(B.toarray(), arr)
 
     def test_bad_descriptors(self):
         with pytest.raises(InvalidParamError):
             MatrixSpec.parse("unknown-kind")
         with pytest.raises(InvalidParamError):
             MatrixSpec.parse("kernel:g=6,bogus=1")
-        with pytest.raises(InvalidParamError):
-            MatrixSpec.parse("geo-file")
+        with pytest.raises(InvalidParamError, match="needs path"):
+            MatrixSpec.parse("file")
+        with pytest.raises(InvalidParamError, match="unknown matrix kind"):
+            MatrixSpec.parse("geo-file:path=x")
 
     @pytest.mark.parametrize("text, field", [
         ("dense-decay:m=abc", "m="), ("sparse-decay:nnz=3x", "nnz="),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rowpick
@@ -244,13 +245,35 @@ class TestCli:
         assert captured.err == f"error: draws must be >= 1, got {draws}\n"
 
     def test_gen_sparse_npz(self, tmp_path, capsys):
+        # file: reads back what gen writes, and decomposes it as the
+        # descriptor it came from
+        descriptor = "sparse-decay:m=600,n=60,nnz=4,seed=0"
         target = tmp_path / "s.npz"
-        assert main([
-            "gen", "--matrix", "sparse-decay:m=60,n=20,nnz=4,seed=0",
-            "--out", str(target),
-        ]) == 0
+        assert main(["gen", "--matrix", descriptor, "--out", str(target)]) == 0
         import scipy.sparse as sp
 
         loaded = sp.load_npz(target)
-        assert loaded.shape == (60, 20)
-        assert loaded.nnz == 80
+        assert loaded.shape == (600, 60)
+        assert loaded.nnz == 240
+        reports = []
+        for matrix in (descriptor, f"file:path={target}"):
+            out = tmp_path / "report.json"
+            assert main(["decompose", "--matrix", matrix, "--k", "8",
+                         "--method", "ARP", "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[1]["pivots"] == reports[0]["pivots"]
+        assert reports[1]["rel_fro_error"] == reports[0]["rel_fro_error"]
+
+    @pytest.mark.parametrize("name, save", [
+        ("object.npy", lambda p: np.save(p, np.array([[1.0, "a"]], dtype=object),
+                                         allow_pickle=True)),
+        ("complex.npy", lambda p: np.save(p, 1j * np.eye(3))),
+        ("plain.npz", lambda p: np.savez(p, a=np.eye(3))),
+        ("empty.npy", lambda p: p.write_bytes(b"")),
+    ])
+    def test_file_that_is_no_real_matrix_is_refused(self, name, save, tmp_path, capsys):
+        path = tmp_path / name
+        save(path)
+        assert main(["decompose", "--matrix", f"file:path={path}", "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and "Traceback" not in err
