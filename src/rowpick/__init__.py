@@ -41,12 +41,7 @@ from .errors import (
     RowpickError,
     TooLargeError,
 )
-from .linalg import (
-    RANK_RTOL,
-    apply_pinv_right,
-    orth,
-    svd_pinv_apply,
-)
+from .linalg import RANK_RTOL, orth, pinv
 from .matrices import (
     MatrixSpec,
     gen_decay_dense,
@@ -100,7 +95,6 @@ __all__ = [
     "SubsetDistribution",
     "TooLargeError",
     "VARIANTS",
-    "apply_pinv_right",
     "arp_decompose",
     "build_w",
     "check_active_regression",
@@ -114,6 +108,7 @@ __all__ = [
     "gen_kernel",
     "optimality_instance",
     "orth",
+    "pinv",
     "rangefinder",
     "rejection_rpqr",
     "residual_fro",
@@ -125,6 +120,5 @@ __all__ = [
     "sketch_apply",
     "sparse_sign_embedding",
     "summarize_records",
-    "svd_pinv_apply",
     "write_records_csv",
 ]

@@ -4,9 +4,11 @@ output variants, plus residual evaluation.
 
 Variants
 --------
+Each ``W`` is ``X @ P``, one product with the ``P`` that
+:func:`~rowpick.linalg.pinv` forms from ``X[S, :]``.
+
 ``type1``
-    ``W = Q @ inv(Q[S, :])`` for the rangefinder's basis ``Q``, through the
-    same ``X @ pinv(B)`` kernel as the other two variants.
+    ``W = Q @ inv(Q[S, :])`` for the rangefinder's basis ``Q``.
 ``type2``
     ``W = A @ pinv(A[S, :])``; the row-span-optimal projection, never worse
     than type1 in Frobenius norm for the same pivots.
@@ -41,13 +43,12 @@ from .linalg import (
     _scale_exponent,
     _scaled,
     _unscaled_root,
-    apply_pinv_right,
     orth,
-    svd_pinv_apply,
+    pinv,
     vector_norm,
 )
 from .samplers import PivotSet, rejection_rpqr
-from .sketch import _SketchRows, sketch_apply, sparse_sign_embedding
+from .sketch import sketch_apply, sketch_times, sparse_sign_embedding
 
 VARIANTS = ("type1", "type2", "osid")
 
@@ -211,18 +212,11 @@ def rangefinder(A, k, zeta, rng):
     return Q
 
 
-def _pinv_apply(A, B):
-    """``A @ pinv(B)``, for ``A`` as :func:`apply_pinv_right` takes it, with
-    the documented rank-deficiency fallback."""
-    try:
-        return apply_pinv_right(A, B), False
-    except RankDeficientError:
-        return svd_pinv_apply(A, B), True
-
-
 def build_type1_w(Q, pivots):
-    """``(W, fallback)`` for ``W = Q @ inv(Q[S, :])``, by :func:`_pinv_apply`."""
-    return _pinv_apply(Q, Q[pivots.indices])
+    """``(W, fallback)`` for ``W = Q @ inv(Q[S, :])``, as ``Q @ P`` with
+    ``(P, fallback)`` the :func:`~rowpick.linalg.pinv` of ``Q[S, :]``."""
+    P, fallback = pinv(Q[pivots.indices])
+    return Q @ P, fallback
 
 
 def select_pivots(A, cfg, rng):
@@ -248,15 +242,17 @@ def build_w(A, pivots, cfg, rng, basis=None):
     in the order of ``VARIANTS`` gives what separate :func:`arp_decompose`
     calls with the same seed give.
 
-    Every variant is ``X @ pinv(X[S, :])`` by :func:`_pinv_apply`, with
-    ``X`` the basis ``Q``, ``A`` itself, or the sketch ``A @ Phi``: the
-    ``n x k`` pseudoinverse is formed once, then multiplied by ``X``. When
-    ``X[S, :]`` has full numerical rank, the pivot rows of ``W``, which then
-    equal the identity in exact arithmetic, are set to it; otherwise ``W``
-    comes from the truncated-SVD fallback, left as computed, and
+    Every variant is ``X @ P`` for ``(P, fallback)`` the
+    :func:`~rowpick.linalg.pinv` of ``X[S, :]``, with ``X`` the basis
+    ``Q``, ``A`` itself, or the sketch ``A @ Phi``: the ``n x k``
+    pseudoinverse is formed once, then multiplied by ``X``. When ``X[S, :]``
+    has full numerical rank, the pivot rows of ``W``, which then equal the
+    identity in exact arithmetic, are set to it; otherwise ``P`` comes from
+    the truncated-SVD fallback, ``W`` is left as computed, and
     ``pinv_fallback`` is set. ``osid`` takes ``X[S, :]`` as the sketch of
-    ``A[S, :]``, which has its bytes, and streams the sketch's row blocks
-    into ``W``, the fallback's too, so it never forms the whole sketch.
+    ``A[S, :]``, which has its bytes, and forms ``X @ P`` by
+    :func:`~rowpick.sketch.sketch_times`, so it never forms the whole
+    sketch.
 
     ``W`` is built on every row of ``A`` (see Empty rows in the module
     docstring), whose rows ``pivots`` and ``basis`` must index; other row
@@ -271,11 +267,13 @@ def build_w(A, pivots, cfg, rng, basis=None):
             raise InvalidParamError("type1 needs the basis Q")
         W, fallback = build_type1_w(basis, pivots)
     elif cfg.variant == "type2":
-        W, fallback = _pinv_apply(A, _take_rows(A, S))
+        P, fallback = pinv(_take_rows(A, S))
+        W = np.ascontiguousarray(A @ P)
     else:
         width = _round_up_multiple(int(round(cfg.oversample * cfg.k)), cfg.zeta)
-        Y = _SketchRows(A, sparse_sign_embedding(A.shape[1], width, cfg.zeta, rng))
-        W, fallback = _pinv_apply(Y, sketch_apply(_take_rows(Y.A, S), Y.omega))
+        omega = sparse_sign_embedding(A.shape[1], width, cfg.zeta, rng)
+        P, fallback = pinv(sketch_apply(_take_rows(A, S), omega))
+        W = sketch_times(A, omega, P)
     if not fallback:
         W[S, :] = np.eye(len(pivots))
     return InterpolativeDecomposition(

@@ -1,5 +1,4 @@
-"""Dense matrix kernels: orthonormalization and stable pseudoinverse
-application.
+"""Dense matrix kernels: orthonormalization and a stable pseudoinverse.
 
 Conventions used throughout the library:
 
@@ -17,8 +16,9 @@ Conventions used throughout the library:
   one leaf is one Householder QR. The leaf height is a constant of its
   own, not an option and not tied to ``BLOCK_ENTRIES``, so a basis keeps
   its bits whatever the block size of the other passes;
-* ``A @ pinv(B)``, by QR or (for a rank-deficient ``B``) SVD, forms the
-  ``n x k`` pseudoinverse once, then takes one product with ``A``;
+* :func:`pinv` forms the ``n x k`` pseudoinverse of a ``k x n`` ``B`` by
+  QR or, for a rank-deficient ``B``, SVD, and says which; a caller's
+  ``X @ pinv(B)`` is then one product;
 * this module and the samplers, with the block sampler's QR, run on
   numpy's BLAS and LAPACK only. numpy and scipy each bundle their own
   OpenBLAS, whose idle worker threads spin for about 0.1 s after a
@@ -32,12 +32,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyMatrixError,
-    InvalidParamError,
-    RankDeficientError,
-)
+from .errors import DimensionMismatchError, EmptyMatrixError, InvalidParamError
 
 RANK_RTOL = 1e-12
 BLOCK_ENTRIES = 2**21  # float64 entries in one block of a blocked pass: 16 MB
@@ -217,25 +212,17 @@ def _tsqr(B, leaf):
     return Q, R
 
 
-def apply_pinv_right(A, B):
-    """Compute ``A @ pinv(B)`` for a full-row-rank ``B`` via QR of ``B^T``.
+def pinv(B):
+    """``(P, fallback)``: the ``n x k`` pseudoinverse ``P`` of a ``k x n``
+    ``B`` (k <= n), so that ``X @ P`` is ``X @ pinv(B)`` in one product.
 
-    Never forms normal equations. From ``B^T = Q_b R_b`` the ``n x k``
-    ``pinv(B) = Q_b R_b^{-T}`` is formed once, as ``Q_b`` times the inverse
-    of the triangular ``R_b`` (whose LU makes no row swaps), and ``Q_b`` is
-    freed before the one product with ``A`` (see :func:`_right_product`).
-
-    Parameters
-    ----------
-    A : (m, n) array, sparse, or row blocks
-    B : (k, n) ndarray, k <= n
-
-    Raises
-    ------
-    RankDeficientError
-        B's numerical row rank is below k (an R diagonal entry of the QR of
-        ``B^T`` falls below ``RANK_RTOL * ||B||_F``). The caller decides the
-        fallback. Raised before any block of ``A`` is read.
+    Never forms normal equations. When every diagonal entry of ``R_b`` in
+    the QR ``B^T = Q_b R_b`` clears ``RANK_RTOL * ||B||_F``, ``P`` is
+    ``Q_b R_b^{-T}``, ``Q_b`` times the inverse of the triangular ``R_b``
+    (whose LU makes no row swaps), and ``fallback`` is False. Otherwise
+    ``B`` is numerically row rank deficient, ``P`` comes from a truncated
+    SVD with singular values below ``RANK_RTOL`` times the largest taken
+    as zero, and ``fallback`` is True.
     """
     B = _as_matrix(B, "B")
     kb, n = B.shape
@@ -243,36 +230,5 @@ def apply_pinv_right(A, B):
         raise DimensionMismatchError(f"B must have rows <= cols, got {kb}x{n}")
     Qb, Rb = np.linalg.qr(B.T)
     if kb == 0 or np.abs(np.diag(Rb)).min() <= RANK_RTOL * vector_norm(B.ravel(order="K")):
-        raise RankDeficientError(
-            "B is numerically row rank deficient; pseudoinverse via QR refused"
-        )
-    P = Qb @ np.linalg.inv(Rb).T
-    del Qb  # before the m-row product
-    return _right_product(A, P)
-
-
-def svd_pinv_apply(A, B):
-    """Fallback ``A @ pinv(B)`` through a truncated SVD of ``B``, with ``A``
-    as :func:`apply_pinv_right` takes it.
-
-    Singular values below ``RANK_RTOL`` times the largest are treated as
-    zero. Used when :func:`apply_pinv_right` refuses a rank-deficient ``B``.
-    """
-    return _right_product(A, np.linalg.pinv(_as_matrix(B, "B"), rcond=RANK_RTOL))
-
-
-def _right_product(A, P):
-    """``A @ P`` as a C-order array, for a small ``P`` (n x k) and ``A``
-    dense, scipy sparse, or given by its row blocks: an object with
-    ``shape`` whose iteration yields ``(lo, hi, block)`` for consecutive
-    row ranges, such as the sketch ``osid`` streams. Each block's product
-    is written into its rows of the result, so no stream is held whole."""
-    if A.shape[1] != P.shape[0]:
-        raise DimensionMismatchError(f"A has {A.shape[1]} columns but B has {P.shape[0]}")
-    if isinstance(A, np.ndarray) or sp.issparse(A):
-        return np.ascontiguousarray(A @ P)
-    W = np.empty((A.shape[0], P.shape[1]))
-    for lo, hi, X in A:
-        np.matmul(X, P, out=W[lo:hi])
-        del X  # before the next block is made
-    return W
+        return np.linalg.pinv(B, rcond=RANK_RTOL), True
+    return Qb @ np.linalg.inv(Rb).T, False

@@ -115,9 +115,15 @@ class MatrixSpec:
         ``kernel:g=40``, ``dense-decay:m=500,n=300,seed=7``,
         ``file:path=A.npz``. Missing sizes fall
         back to desk-scale defaults (paper-scale with ``full_scale``).
+        A ``file`` path is everything after ``path=``, commas included.
         """
         kind, _, rest = text.partition(":")
         kind = kind.strip()
+        if kind == "file":
+            key, eq, path = rest.partition("=")
+            if not eq or key.strip() != "path":
+                raise InvalidParamError(f"{kind} descriptor needs path=...")
+            return cls(kind, path=path.strip())
         kv = {}
         if rest:
             for part in rest.split(","):
@@ -140,11 +146,6 @@ class MatrixSpec:
         if kind == "kernel":
             return cls(kind, grid_side=_pop_int(kv, "g", _KERNEL_SIDES[scale]),
                        **_reject_extra(kv))
-        if kind == "file":
-            path = kv.pop("path", None)
-            if path is None:
-                raise InvalidParamError(f"{kind} descriptor needs path=...")
-            return cls(kind, path=path, **_reject_extra(kv))
         raise InvalidParamError(f"unknown matrix kind {kind!r}")
 
     def describe(self):

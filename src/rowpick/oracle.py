@@ -68,21 +68,20 @@ def _lu_solve_ld(lu, piv, B):
     return X
 
 
-def _volume_weights_ld(B):
-    """Square-subset volume weights det(B[T,:])^2 in extended precision,
-    keyed by sorted index tuple; zero-volume subsets are dropped."""
-    m, k = B.shape
+def _square_subsets_ld(X):
+    """``(idx, det**2, lu, piv)`` for each size-k row subset ``idx`` of the
+    ``m x k`` ``X`` of nonzero volume, with the extended-precision LU of
+    ``X[idx, :]`` from :func:`_lu_factor_ld`; subsets whose volume falls
+    below ``DET_RTOL`` times the product of their row norms are skipped."""
+    m, k = X.shape
     _guard_enumeration(m, k)
-    B = np.asarray(B, dtype=np.longdouble)
-    row_norms = np.sqrt(np.einsum("ij,ij->i", B, B))
-    weights = {}
+    X = np.asarray(X, dtype=np.longdouble)
+    row_norms = np.sqrt(np.einsum("ij,ij->i", X, X))
     for T in itertools.combinations(range(m), k):
         idx = list(T)
-        _, _, det = _lu_factor_ld(B[idx, :])
-        if abs(det) <= DET_RTOL * np.prod(row_norms[idx]):
-            continue
-        weights[T] = det * det
-    return weights
+        lu, piv, det = _lu_factor_ld(X[idx, :])
+        if abs(det) > DET_RTOL * np.prod(row_norms[idx]):
+            yield idx, det * det, lu, piv
 
 
 @dataclass(frozen=True)
@@ -200,17 +199,13 @@ def expected_type1_error(A, Q):
     if A.shape[0] != Q.shape[0]:
         raise DimensionMismatchError("A and Q must have the same row count")
     k = Q.shape[1]
-    weights = _volume_weights_ld(Q)
-    total = sum(weights.values())
     Ao = np.asarray(A, dtype=np.longdouble)
     Qo = np.asarray(Q, dtype=np.longdouble)
-    lhs = np.longdouble(0.0)
-    for T, w in weights.items():
-        idx = list(T)
-        lu, piv, _ = _lu_factor_ld(Qo[idx, :])
-        approx = Qo @ _lu_solve_ld(lu, piv, Ao[idx, :])
-        diff = Ao - approx
+    lhs = total = np.longdouble(0.0)
+    for idx, w, lu, piv in _square_subsets_ld(Q):
+        diff = Ao - Qo @ _lu_solve_ld(lu, piv, Ao[idx, :])
         lhs += w * np.einsum("ij,ij->", diff, diff)
+        total += w
     resid = Ao - Qo @ (Qo.T @ Ao)
     rhs = (k + 1) * np.einsum("ij,ij->", resid, resid)
     return float(lhs / total), float(rhs)
@@ -239,17 +234,14 @@ def check_active_regression(X, y):
     # explicitly well conditioned here, so this is accurate
     lu, piv, _ = _lu_factor_ld(Xo.T @ Xo)
     beta_true = _lu_solve_ld(lu, piv, Xo.T @ yo)[:, 0]
-    weights = _volume_weights_ld(X)
-    total = sum(weights.values())
     expected_beta = np.zeros(k, dtype=np.longdouble)
-    lhs_err = np.longdouble(0.0)
-    for T, w in weights.items():
-        idx = list(T)
-        lu, piv, _ = _lu_factor_ld(Xo[idx, :])
+    lhs_err = total = np.longdouble(0.0)
+    for idx, w, lu, piv in _square_subsets_ld(X):
         beta_hat = _lu_solve_ld(lu, piv, yo[idx])[:, 0]
         expected_beta += w * beta_hat
         r = Xo @ beta_hat - yo
         lhs_err += w * (r @ r)
+        total += w
     r_opt = yo - Xo @ beta_true
     rhs_err = (k + 1) * (r_opt @ r_opt)
     return (

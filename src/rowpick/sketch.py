@@ -1,5 +1,5 @@
 """Structured sparse sign embeddings, and their application over row
-blocks in a canonical accumulation order.
+blocks in a canonical accumulation order, alone or times a small matrix.
 
 An embedding of dimension ``k`` with row sparsity ``zeta`` (``zeta | k``)
 is an ``n x k`` sparse matrix with exactly ``zeta`` nonzeros in every row:
@@ -122,24 +122,21 @@ def sketch_apply(A, omega):
     return out
 
 
-class _SketchRows:
-    """The sketch ``A @ omega`` as ``(lo, hi, block)`` row blocks, each
-    :func:`sketch_apply` of rows ``lo:hi`` of ``A``, so with the bytes of
-    those rows of the whole sketch. Each block is made when the iteration
-    reaches it.
+def sketch_times(A, omega, P):
+    """``sketch_apply(A, omega) @ P`` for a small ``P`` (width x r), as a
+    C-order array, without forming the whole sketch.
 
-    The blocks are near equal, of at most ``BLOCK_ENTRIES`` entries and,
-    when there are several, at least half that. So a product of each block
-    with a small matrix takes the BLAS kernel the whole sketch would take:
-    OpenBLAS has other kernels, with other rounding, for one-row products
-    and for products of at most 10**6 multiply-adds.
+    Runs over near-equal row blocks of the sketch, each of at most
+    ``BLOCK_ENTRIES`` entries and, when there are several, at least half
+    that. Each block is :func:`sketch_apply` of those rows of ``A``, so it
+    has their bytes in the whole sketch, and its product with ``P`` is
+    written into its rows of the result. Near-equal blocks make each
+    product take the BLAS kernel the whole sketch would take: OpenBLAS has
+    other kernels, with other rounding, for one-row products and for
+    products of at most 10**6 multiply-adds.
     """
-
-    def __init__(self, A, omega):
-        self.A = _sketch_input(A, omega.shape[0])
-        self.omega = omega
-        self.shape = (self.A.shape[0], omega.shape[1])
-
-    def __iter__(self):
-        for lo, hi in _even_blocks(self.shape[0], max(1, BLOCK_ENTRIES // self.shape[1])):
-            yield lo, hi, sketch_apply(_rows(self.A, lo, hi), self.omega)
+    A = _sketch_input(A, omega.shape[0])
+    out = np.empty((A.shape[0], P.shape[1]))
+    for lo, hi in _even_blocks(A.shape[0], max(1, BLOCK_ENTRIES // omega.shape[1])):
+        np.matmul(sketch_apply(_rows(A, lo, hi), omega), P, out=out[lo:hi])
+    return out

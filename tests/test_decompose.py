@@ -14,6 +14,7 @@ from rowpick import (
     InterpolativeDecomposition,
     InvalidParamError,
     PivotSet,
+    RANK_RTOL,
     RankDeficientError,
     VARIANTS,
     arp_decompose,
@@ -315,31 +316,40 @@ class TestArpDecompose:
         assert dec.w.shape == (6, 2) and np.isfinite(dec.w).all()
         np.testing.assert_allclose(dec.w, Q @ np.linalg.pinv(Q[:2]), atol=1e-12)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_type2_inputs_unchanged_w_row_major(self, sparse):
+        # W is a new C-order array, also for sparse A; A is never written
+        A = np.random.default_rng(9).standard_normal((12, 7))
+        A_in = sp.csr_array(A) if sparse else A
+        A_before = A.copy()
+        dec = build_w(A_in, PivotSet(np.array([4, 0, 9]), 12),
+                      ArpConfig(k=3, variant="type2"), None)
+        np.testing.assert_array_equal(A_in.toarray() if sparse else A_in, A_before)
+        assert dec.w.flags.c_contiguous and dec.w.shape == (12, 3)
+        np.testing.assert_allclose(dec.w, A @ np.linalg.pinv(A[[4, 0, 9]]), atol=1e-12)
+
 
 class TestPinvFallback:
     def test_rank_deficient_rows_fall_back_to_svd(self):
-        from rowpick.decompose import _pinv_apply
-        from rowpick import svd_pinv_apply
-
         rng = np.random.default_rng(0)
-        B = np.vstack([rng.standard_normal(6), np.zeros(6)])  # rank 1
-        A = rng.standard_normal((4, 6))
-        W, fell_back = _pinv_apply(A, B)
-        assert fell_back
-        np.testing.assert_allclose(W, svd_pinv_apply(A, B), atol=1e-12)
+        A = np.vstack([rng.standard_normal(6), np.zeros(6), rng.standard_normal((2, 6))])
+        B = A[:2]  # rank 1
+        dec = build_w(A, PivotSet(np.array([0, 1]), 4),
+                      ArpConfig(k=2, variant="type2"), None)
+        assert dec.pinv_fallback
+        W = dec.w
+        np.testing.assert_array_equal(W, A @ np.linalg.pinv(B, rcond=RANK_RTOL))
         # truncated pseudoinverse still projects onto the usable row span
         np.testing.assert_allclose(
             (W @ B) @ np.linalg.pinv(B) @ B, W @ B, atol=1e-10
         )
 
     def test_full_rank_does_not_fall_back(self):
-        from rowpick.decompose import _pinv_apply
-
-        rng = np.random.default_rng(1)
-        W, fell_back = _pinv_apply(
-            rng.standard_normal((3, 8)), rng.standard_normal((2, 8))
-        )
-        assert not fell_back
+        A = np.random.default_rng(1).standard_normal((3, 8))
+        dec = build_w(A, PivotSet(np.array([2, 0]), 3),
+                      ArpConfig(k=2, variant="type2"), None)
+        assert not dec.pinv_fallback
+        np.testing.assert_array_equal(dec.w[[2, 0]], np.eye(2))
 
 
 class TestStreamedW:

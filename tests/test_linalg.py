@@ -1,21 +1,19 @@
 """Dense kernel tests: orthonormalization, the block sampler's appendable
-Householder QR, and pseudoinverse application against an independent SVD
+Householder QR, and the pseudoinverse against an independent SVD
 oracle."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from rowpick import (
     DimensionMismatchError,
     EmptyMatrixError,
     InvalidParamError,
-    RankDeficientError,
     RankDeficientUpdateError,
-    apply_pinv_right,
     orth,
+    pinv,
 )
 from rowpick import linalg
 from rowpick.samplers import HouseholderQR
@@ -302,16 +300,20 @@ class TestHouseholderQR:
 
 
 class TestApplyPinvRight:
+    """``pinv(B)`` applied on the right, as the one product ``A @ P``."""
+
     def test_padded_identity(self):
         k, n = 3, 6
         B = np.hstack([np.eye(k), np.zeros((k, n - k))])
         A = np.random.default_rng(0).standard_normal((4, n))
-        np.testing.assert_allclose(apply_pinv_right(A, B), A[:, :k], atol=1e-13)
+        P, fallback = pinv(B)
+        assert not fallback
+        np.testing.assert_allclose(A @ P, A[:, :k], atol=1e-13)
 
     def test_projector_reproduces_own_rows(self):
         rng = np.random.default_rng(1)
         B = rng.standard_normal((4, 9))
-        W = apply_pinv_right(B, B)
+        W = B @ pinv(B)[0]
         np.testing.assert_allclose(
             W @ B, B, atol=1e-12 * np.linalg.norm(B)
         )
@@ -323,29 +325,34 @@ class TestApplyPinvRight:
         n = kb + int(rng.integers(1, 40))
         B = rng.standard_normal((kb, n))
         A = rng.standard_normal((int(rng.integers(1, 50)), n))
-        got = apply_pinv_right(A, B)
+        P, fallback = pinv(B)
+        got = A @ P
+        assert not fallback
         oracle = A @ np.linalg.pinv(B)  # SVD-based, independent path
         assert np.linalg.norm(got - oracle) <= 1e-10 * max(np.linalg.norm(oracle), 1.0)
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_inputs_unchanged_result_row_major(self, sparse):
-        # the result is a new C-order array; A and B are never written
-        rng = np.random.default_rng(9)
-        B = rng.standard_normal((3, 7))
-        A = rng.standard_normal((12, 7))
-        A_in = sp.csr_array(A) if sparse else A
-        A_before, B_before = A.copy(), B.copy()
-        got = apply_pinv_right(A_in, B)
+    def test_inputs_unchanged_result_row_major(self):
+        # P is a new C-order array; B is never written
+        B = np.random.default_rng(9).standard_normal((3, 7))
+        B_before = B.copy()
+        P, _ = pinv(B)
         np.testing.assert_array_equal(B, B_before)
-        np.testing.assert_array_equal(A_in.toarray() if sparse else A_in, A_before)
-        assert got.flags.c_contiguous and got.shape == (12, 3)
-        np.testing.assert_allclose(got, A @ np.linalg.pinv(B), atol=1e-12)
+        assert P.flags.c_contiguous and P.shape == (7, 3)
+        np.testing.assert_allclose(P, np.linalg.pinv(B), atol=1e-12)
 
-    def test_rank_deficient_rejected(self):
-        B = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-        with pytest.raises(RankDeficientError):
-            apply_pinv_right(np.eye(3)[:2], B)
+    @pytest.mark.parametrize("B", [
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]),
+        np.vstack([np.random.default_rng(0).standard_normal(6), np.zeros(6)]),
+        np.zeros((0, 4)),
+    ], ids=["parallel-rows", "zero-row", "no-rows"])
+    def test_rank_deficient_falls_back(self, B):
+        # the rank test's verdict is the flag; P is the truncated SVD's
+        P, fallback = pinv(B)
+        assert fallback
+        np.testing.assert_array_equal(P, np.linalg.pinv(B, rcond=linalg.RANK_RTOL))
+        # the truncated pseudoinverse still projects onto the usable row span
+        np.testing.assert_allclose(B @ P @ B, B, atol=1e-10)
 
     def test_wide_requirement(self):
         with pytest.raises(DimensionMismatchError):
-            apply_pinv_right(np.eye(2), np.zeros((3, 2)))
+            pinv(np.zeros((3, 2)))

@@ -131,6 +131,15 @@ class TestMatrixSpec:
         assert isinstance(B, sp.csc_array) and B.has_canonical_format
         np.testing.assert_array_equal(B.toarray(), arr)
 
+    def test_file_path_with_comma(self, tmp_path):
+        # the path is everything after path=, so a comma is part of it
+        path = tmp_path / "a,b.npy"
+        np.save(path, np.eye(3))
+        spec = MatrixSpec.parse(f"file:path={path}")
+        assert spec.path == str(path)
+        assert MatrixSpec.parse(spec.describe()) == spec
+        np.testing.assert_array_equal(spec.build(), np.eye(3))
+
     def test_bad_descriptors(self):
         with pytest.raises(InvalidParamError):
             MatrixSpec.parse("unknown-kind")

@@ -18,7 +18,7 @@ from rowpick import (
     sparse_sign_embedding,
 )
 from rowpick.linalg import BLOCK_ENTRIES
-from rowpick.sketch import _SketchRows
+from rowpick.sketch import sketch_times
 from rowpick.verify import _canonical_product
 
 
@@ -173,7 +173,7 @@ class TestApply:
 class TestRowBlocks:
     # with BLOCK_ENTRIES = 100, a 51 x 30 input sketched at width 10 runs in
     # blocks of 2 rows (dense) and 10 rows (sparse), each with a one-row
-    # last block, and streams in 6 blocks of 8 or 9 rows
+    # last block, and sketch_times runs in 6 blocks of 8 or 9 rows
     @staticmethod
     def _input(sparse):
         rng = np.random.default_rng(11)
@@ -188,10 +188,8 @@ class TestRowBlocks:
         block_entries(100)
         assert sketch_apply(A, omega).tobytes() == whole.tobytes()
         assert whole.tobytes() == _canonical_product(D, omega).tobytes()
-        blocks = list(_SketchRows(A, omega))
-        assert len(blocks) == 6
-        assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
-        assert np.vstack([b for _, _, b in blocks]).tobytes() == whole.tobytes()
+        P = np.random.default_rng(13).standard_normal((10, 4))
+        assert sketch_times(A, omega, P).tobytes() == (whole @ P).tobytes()
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_non_finite_in_last_block_refused(self, block_entries, sparse):
