@@ -193,28 +193,23 @@ def _run_cell(A, methods, k, seed, zeta, oversample, measure):
 
 
 def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
-              oversample=2.0, timing_repeats=1):
+              oversample=2.0):
     """Run every (method, k, seed) cell on the matrix described by ``spec``.
 
     Duplicate and aliased method names are merged. Each cell runs on the
     rows of ``A`` that hold a nonzero, and the ARP-family methods of a cell
-    share one pivot selection (see the module docstring).
-    ``timing_repeats > 1`` re-runs each cell that many times and reports the
-    median wall time (the repeats are bit-identical, so the error is
-    measured once). Errors raised by a cell are recorded as failed rows
-    rather than aborting the sweep.
+    share one pivot selection (see the module docstring). Errors raised by
+    a cell are recorded as failed rows rather than aborting the sweep.
 
     When ``out_path`` is given, writes ``<out_path>.csv`` (records, sorted)
     and ``<out_path>.json`` (per-(method, k) mean/min/max relative error).
 
     Returns the records in canonical sorted order. An empty ``k_list`` or
-    ``seeds``, a rank or ``zeta`` not an integer >= 1 and ``timing_repeats
-    < 1`` are refused with :class:`InvalidParamError` before the matrix is
-    built; a rank above ``min(m, n)`` is a failed cell.
+    ``seeds`` and a rank or ``zeta`` not an integer >= 1 are refused with
+    :class:`InvalidParamError` before the matrix is built; a rank above
+    ``min(m, n)`` is a failed cell.
     """
     methods = list(dict.fromkeys(canonical_method(name) for name in methods))
-    if timing_repeats < 1:
-        raise InvalidParamError("timing_repeats must be >= 1")
     if len(k_list) == 0 or len(seeds) == 0:
         raise InvalidParamError("need at least one rank and one seed")
     for k in k_list:
@@ -233,16 +228,12 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
             return residual_fro(B, dec) / fro, dec.effective_rank
 
         for seed in seeds:
-            runs = [_run_cell(B, methods, k, seed, zeta, oversample,
-                              error_and_rank if r == 0 else lambda dec: None)
-                    for r in range(timing_repeats)]
-            for method, ((rel, rank), _) in runs[0].items():
-                times = [max(run[method][1], 1e-9) for run in runs]
+            cell = _run_cell(B, methods, k, seed, zeta, oversample, error_and_rank)
+            for method, ((rel, rank), elapsed) in cell.items():
                 records.append(BenchmarkRecord(
                     method=method, matrix=desc, m=m, n=n, k=int(k),
                     seed=int(seed), rel_fro_error=float(rel),
-                    wall_time_s=float(np.median(times)),
-                    effective_rank=int(rank),
+                    wall_time_s=max(elapsed, 1e-9), effective_rank=int(rank),
                 ))
     records.sort(key=lambda r: (r.method, r.matrix, r.k, r.seed))
     if out_path is not None:

@@ -67,8 +67,6 @@ def _build_parser():
     p_bench.add_argument("--trials", type=int, default=10)
     p_bench.add_argument("--zeta", type=int, default=4)
     p_bench.add_argument("--oversample", type=float, default=2.0)
-    p_bench.add_argument("--timing-repeats", type=int, default=1,
-                         help="repeats per cell; wall time is their median")
     p_bench.add_argument("--out", required=True,
                          help="output prefix; writes <out>.csv and <out>.json")
 
@@ -138,10 +136,8 @@ def _cmd_bench(args):
             f"--k must be a comma-separated list of integers, got {args.k!r}") from None
     methods = [v.strip() for v in args.method.split(",") if v.strip()]
     seeds = [args.seed + t for t in range(args.trials)]
-    records = run_bench(
-        spec, methods, k_list, seeds, out_path=args.out, zeta=args.zeta,
-        oversample=args.oversample, timing_repeats=args.timing_repeats,
-    )
+    records = run_bench(spec, methods, k_list, seeds, out_path=args.out,
+                        zeta=args.zeta, oversample=args.oversample)
     failures = sum(0 if r.ok else 1 for r in records)
     print(f"{len(records)} cells -> {args.out}.csv / {args.out}.json "
           f"({failures} failed)")

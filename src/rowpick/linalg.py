@@ -163,12 +163,13 @@ def _householder(X):
     """Householder QR ``X = (I - V T V^T)[:, :n] R`` of ``X`` (rows >= n
     cols): ``V`` the unit lower trapezoid of reflectors, in a new array,
     ``T`` upper triangular, from the recurrence of LAPACK's dlarft, which
-    numpy does not expose."""
+    numpy does not expose. It factors :func:`orth`'s TSQR leaves and each
+    block the rejection sampler's ``HouseholderQR`` absorbs."""
     n = X.shape[1]
     h, tau = np.linalg.qr(X, mode="raw")
     V = h.T  # R on and above the diagonal, the reflectors' tails below
     R = np.triu(V[:n])
-    V[np.triu_indices(n)] = 0.0
+    V[:n] -= R  # exact zeros on and above the diagonal
     np.fill_diagonal(V, 1.0)
     G = V.T @ V
     T = np.zeros((n, n))

@@ -39,7 +39,8 @@ from .errors import (
     RankDeficientError,
     RankDeficientUpdateError,
 )
-from .linalg import BLOCK_ENTRIES, RANK_RTOL, _canonical, _scale_exponent, _scaled
+from .linalg import (BLOCK_ENTRIES, RANK_RTOL, _canonical, _householder,
+                     _scale_exponent, _scaled)
 
 ACCEPT_SLACK = 1e-12  # roundoff allowance on acceptance ratios
 MAX_ROUNDS = 64  # proposal rounds of the block sampler before it gives up
@@ -199,10 +200,13 @@ class HouseholderQR:
     the rows of ``Q`` chosen before the sampler's last round, as columns of
     ``Q^T``, in dimension ``d``.
 
-    Columns are appended by :meth:`_absorb`; stored reflectors are never
+    Columns are appended by :meth:`_absorb`, a block at a time: the block's
+    coordinates past the absorbed columns go through one
+    :func:`~rowpick.linalg._householder` (LAPACK's ``geqrf``), whose ``T``
+    is then coupled to the stored one. Stored reflectors are never
     modified. The orthogonal factor ``U`` is kept implicitly as a compact
     product ``I - V T V^T`` of Householder reflectors and is never formed;
-    the triangular factor is not kept, since nothing reads it. The sampler
+    the triangular factor is read only by the rank test. The sampler
     reads each round's proposal residuals through :meth:`_complement_t`.
     Each draw builds its own, at the first round after an acceptance whose
     Gram is not stored, and absorbs the accepted row blocks in the order
@@ -237,55 +241,25 @@ class HouseholderQR:
     def _absorb(self, C):
         # append the columns of the float64 block C (d x a, k_cur + a <= d);
         # raises RankDeficientUpdateError when a column is numerically in
-        # the span of the absorbed ones, the signature of a duplicate pivot
+        # the span of those before it, the signature of a duplicate pivot
         i0 = self.k_cur
         i1 = i0 + C.shape[1]
-        W = self._apply_product_t(C) if i0 else C.copy()
-        self._factor(W, i0, 0)
+        Vb, Tb, R = _householder((self._apply_product_t(C) if i0 else C)[i0:])
+        # reflections keep column norms: R[j, j]**2 is column j's residual
+        # against the columns before it, and ||C[:, j]||**2 its whole norm
+        resid2, norm2 = R.diagonal() ** 2, np.einsum("ij,ij->j", C, C)
+        bad = (resid2 <= RANK_RTOL**2 * norm2) | (norm2 == 0.0)
+        if bad.any():
+            j = int(bad.argmax())
+            raise RankDeficientUpdateError(
+                f"column {j} of the update is numerically dependent "
+                f"(residual^2 {resid2[j]:.3e} vs norm^2 {norm2[j]:.3e})")
         V, T = self._V, self._T
+        V[i0:, i0:i1], T[i0:i1, i0:i1] = Vb, Tb
         if i0:  # couple the new reflectors to the stored ones
             T[:i0, i0:i1] = -(T[:i0, :i0] @ (V[i0:, :i0].T @ V[i0:, i0:i1])
                               @ T[i0:i1, i0:i1])
         self.k_cur = i1
-
-    def _factor(self, W, i0, j):
-        # Householder QR of the columns j, j+1, ... of an update whose first
-        # column goes to position i0; W holds them in the coordinates of the
-        # reflectors before position i0 + j. Halving the block recursively,
-        # as LAPACK's dgeqrt3 does, turns the trailing updates and the
-        # coupling of the two halves' T blocks into matrix products.
-        V, T = self._V, self._T
-        i = i0 + j
-        a = W.shape[1]
-        if a > 1:
-            h = a // 2
-            self._factor(W[:, :h], i0, j)
-            V1, T1 = V[i:, i:i + h], T[i:i + h, i:i + h]
-            rest = W[i:, h:]
-            rest -= V1 @ (T1.T @ (V1.T @ rest))
-            self._factor(W[:, h:], i0, j + h)
-            V2, T2 = V[i + h:, i + h:i + a], T[i + h:i + a, i + h:i + a]
-            T[i:i + h, i + h:i + a] = -(T1 @ (V1[h:].T @ V2) @ T2)
-            return
-        x = W[i:, 0]
-        normx2 = float(x.dot(x))
-        # reflections keep column norms, so the norm of the whole column
-        # of W is the norm of the new column
-        above = W[:i, 0]
-        norm2 = normx2 + float(above.dot(above)) if i else normx2
-        if normx2 <= (RANK_RTOL * RANK_RTOL) * norm2 or norm2 == 0.0:
-            raise RankDeficientUpdateError(
-                f"column {j} of the update is numerically dependent "
-                f"(residual^2 {normx2:.3e} vs norm^2 {norm2:.3e})"
-            )
-        alpha = x.item(0)
-        beta = -math.copysign(math.sqrt(normx2), alpha)
-        v0 = alpha - beta  # no cancellation: signs of alpha and -beta agree
-        v = V[i:, i]  # the reflector's rows above i stay zero
-        v[0] = 1.0
-        if i + 1 < self.d:  # a reflector of the last row has no tail
-            np.divide(x[1:], v0, out=v[1:])
-        T[i, i] = -v0 / beta
 
 
 class _StateStore:

@@ -335,19 +335,14 @@ class TestRunBench:
         assert math.isnan(parsed[0].rel_fro_error)
         assert parsed[0].effective_rank == 0
 
-    def test_timing_repeats_median(self):
-        records = run_bench(SPEC, ["ARP"], [4], seeds=[0], zeta=2,
-                            timing_repeats=3)
-        assert records[0].wall_time_s > 0
-
     def test_aliased_methods_merged(self):
         records = run_bench(SPEC, ["ProjARP", "OptARP"], [4], [0, 1], zeta=2)
         assert [(r.method, r.seed) for r in records] == [("ProjARP", 0), ("ProjARP", 1)]
         assert summarize_records(records)["results"]["ProjARP"]["4"]["trials"] == 2
 
     @staticmethod
-    def _check_matches_standalone(spec, methods, ks, seeds, repeats=1):
-        records = run_bench(spec, methods, ks, seeds, timing_repeats=repeats)
+    def _check_matches_standalone(spec, methods, ks, seeds):
+        records = run_bench(spec, methods, ks, seeds)
         A = spec.build()
         expected = []
         for method in methods:
@@ -361,12 +356,12 @@ class TestRunBench:
         assert all(r.wall_time_s > 0 for r in records)
         assert [replace(r, wall_time_s=0.0) for r in records] == expected
 
-    @pytest.mark.parametrize("repeats", [1, 3])
+    @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("methods", [
         ["SkARP"], ["ARP", "SkARP"], ["SkARP", "ProjARP", "ARP"], list(METHOD_ORDER),
     ])
-    def test_shared_selection_matches_standalone_methods(self, methods, repeats):
-        self._check_matches_standalone(SPEC, methods, [3, 5], range(3), repeats)
+    def test_shared_selection_matches_standalone_methods(self, methods, trials):
+        self._check_matches_standalone(SPEC, methods, [3, 5], range(trials))
 
     def test_shared_selection_matches_standalone_methods_on_empty_rows(self):
         # 90% of the rows hold no entry, so every phase skips them

@@ -260,6 +260,18 @@ class TestHouseholderQR:
         with pytest.raises(RankDeficientUpdateError):
             qr._absorb(c)
 
+    def test_dependence_inside_one_block_raises(self):
+        # the rank test reads every column of a block against those before
+        # it in the same block, and names the first dependent one
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((2, 6))
+        with pytest.raises(RankDeficientUpdateError, match="column 2 of the update"):
+            HouseholderQR(6)._absorb(np.column_stack([a, b, a + b]))
+        with pytest.raises(RankDeficientUpdateError, match="column 1 of the update"):
+            HouseholderQR(6)._absorb(np.column_stack([a, np.zeros(6), b]))
+        with pytest.raises(RankDeficientUpdateError, match="column 0 of the update"):
+            HouseholderQR(6)._absorb(np.zeros((6, 1)))
+
     def test_reflectors_are_append_only(self):
         rng = np.random.default_rng(5)
         qr = HouseholderQR(7)

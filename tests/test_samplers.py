@@ -23,8 +23,10 @@ from rowpick import (
     RowpickError,
     SequentialSampler,
     enumerate_volume_probs,
+    gen_decay_dense,
     gen_decay_sparse,
     orth,
+    rangefinder,
     rejection_rpqr,
     rpqr_sequential,
     run_method,
@@ -515,6 +517,55 @@ class TestSamplerAgreement:
         assert tv > 0.02 or crashes > 0
 
 
+class TestInclusionLaw:
+    """Volume sampling from an orthonormal ``Q`` is the projection DPP with
+    kernel ``Q Q^T``, so row ``i`` is in a draw with probability ``l_i``,
+    its leverage score, at any size. Over ``N`` draws of one object the
+    counts ``c_i`` give ``z_i^2 = (c_i - N l_i)^2 / (N l_i (1 - l_i))``, each
+    about 1 under the law, and their mean over the m rows stays below the
+    chi-square quantile at a false-alarm rate of 1e-6."""
+
+    DRAWS = 5000
+
+    @staticmethod
+    def basis():
+        G = np.random.default_rng(0).standard_normal((200, 10))
+        return orth(G * np.linspace(0.2, 3.0, 200)[:, None])
+
+    def mean_z2(self, Q, sampler, **kwargs):
+        # the draws that did not raise; an error ends an iterator, so a
+        # fresh one continues the count
+        lev = np.einsum("ij,ij->i", Q, Q)
+        counts = np.zeros(Q.shape[0])
+        rng = np.random.default_rng(1)
+        done = 0
+        while done < self.DRAWS:
+            try:
+                for out in sampler.draws(rng, self.DRAWS - done, **kwargs):
+                    counts[(out[0] if isinstance(out, tuple) else out).indices] += 1
+                    done += 1
+            except RankDeficientUpdateError:
+                pass
+        expected = done * lev
+        return float(np.mean((counts - expected) ** 2 / (expected * (1.0 - lev))))
+
+    @staticmethod
+    def threshold(m):
+        from scipy.stats import chi2
+        return chi2.ppf(1.0 - 1e-6, m) / m
+
+    def test_both_samplers_keep_the_inclusion_law(self):
+        Q = self.basis()
+        limit = self.threshold(Q.shape[0])
+        assert self.mean_z2(Q, RejectionSampler(Q)) < limit
+        assert self.mean_z2(Q, SequentialSampler(Q.T, Q.shape[1])) < limit
+
+    def test_biased_acceptance_fails_the_check(self):
+        Q = self.basis()
+        assert (self.mean_z2(Q, RejectionSampler(Q), _accept_bias=0.005)
+                > self.threshold(Q.shape[0]))
+
+
 class TestPinnedDrawStreams:
     """Both samplers on the criterion 02 basis, seed 1: the pivots (in
     selection order), the block sampler's rounds and the generator state
@@ -557,6 +608,42 @@ class TestPinnedDrawStreams:
         assert list(rounds) == self.ROUNDS
         assert seq == self.SEQUENTIAL
         assert rng.random() == 0.371854569870106
+
+
+class TestPinnedBlockAbsorbs:
+    """Five draws from one block sampler at k=40, where later rounds absorb
+    blocks of several rows after earlier ones: the pivots, the rounds and
+    the generator state afterwards, as the sampler drew them when it
+    factored each block by a hand-written recursive QR."""
+
+    PIVOTS = [
+        [21, 64, 5, 12, 17, 40, 16, 22, 1, 34, 13, 36, 18, 8, 10, 33, 11, 19, 31, 6,
+         4, 26, 35, 25, 54, 2, 28, 9, 15, 7, 0, 27, 45, 30, 62, 20, 42, 14, 3, 23],
+        [2, 3, 41, 21, 5, 22, 20, 8, 17, 45, 15, 58, 9, 31, 19, 36, 14, 54, 26, 88,
+         32, 40, 10, 100, 7, 13, 29, 11, 24, 4, 84, 39, 6, 35, 27, 28, 1, 0, 30, 12],
+        [33, 14, 34, 1, 64, 8, 19, 55, 10, 9, 21, 2, 25, 18, 44, 12, 23, 11, 4, 0,
+         71, 91, 15, 54, 16, 40, 32, 7, 38, 27, 28, 13, 58, 6, 24, 20, 5, 3, 26, 17],
+        [57, 31, 9, 19, 13, 4, 2, 78, 15, 27, 23, 34, 0, 8, 24, 40, 3, 14, 16, 21,
+         32, 12, 18, 22, 1, 35, 11, 5, 10, 6, 45, 36, 7, 28, 17, 26, 25, 29, 47, 38],
+        [7, 4, 1, 28, 24, 62, 18, 10, 16, 25, 14, 17, 11, 32, 13, 37, 3, 19, 22, 65,
+         26, 12, 5, 20, 9, 6, 27, 15, 2, 34, 39, 29, 47, 23, 0, 63, 21, 8, 43, 33],
+    ]
+    ROUNDS = [7, 5, 5, 6, 4]
+
+    def test_draws(self, monkeypatch):
+        absorbed = []  # (columns absorbed before, block width) per call
+        real = samplers.HouseholderQR._absorb
+        monkeypatch.setattr(samplers.HouseholderQR, "_absorb",
+                            lambda qr, C: absorbed.append((qr.k_cur, C.shape[1]))
+                            or real(qr, C))
+        rng = np.random.default_rng(0)
+        sampler = RejectionSampler(rangefinder(gen_decay_dense(600, 600, rng), 40, 4, rng))
+        rng = np.random.default_rng(1)
+        pivots, rounds = zip(*(sampler.draw(rng) for _ in self.ROUNDS))
+        assert [p.indices.tolist() for p in pivots] == self.PIVOTS
+        assert list(rounds) == self.ROUNDS
+        assert rng.random() == 0.13522758548997305
+        assert any(i0 > 0 and width >= 2 for i0, width in absorbed)
 
 
 class TestSamplerObjects:
