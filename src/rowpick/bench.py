@@ -5,7 +5,7 @@ Methods
 -------
 ARP      rangefinder + volume-sampled pivots, ``W = Q @ inv(Q[S,:])``
 ProjARP  same pivots, ``W = A @ pinv(A[S,:])`` (row-span optimal)
-SkARP    same pivots, oversampled-sketch ``W`` (osid)
+SkARP    same pivots, ``W`` from a width-``2k`` sketch (osid)
 SkQR     pivots from column-pivoted QR of the sketch transpose, osid ``W``
 RPQR     pivots from sequential randomly pivoted QR on ``A^T``,
          ``W = A @ pinv(A[S,:])``
@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .decompose import (
     ArpConfig,
@@ -100,7 +99,7 @@ def canonical_method(name):
     return name
 
 
-def run_method(method, A, k, rng, zeta=4, oversample=2.0):
+def run_method(method, A, k, rng, zeta=4):
     """Run one named method at rank ``k`` and return its decomposition.
 
     Every method decomposes the rows of ``A`` that hold a nonzero as a
@@ -113,8 +112,7 @@ def run_method(method, A, k, rng, zeta=4, oversample=2.0):
     m, n = A.shape
     if not 1 <= k <= min(m, n):
         raise InvalidParamError(f"need 1 <= k <= min{A.shape}, got {k}")
-    cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample,
-                    variant=_VARIANTS[method])
+    cfg = ArpConfig(k=k, zeta=zeta, variant=_VARIANTS[method])
     if method in _FAMILY:
         return arp_decompose(A, cfg, rng)
     rows, B = _nonempty_rows(A, k, zeta)
@@ -133,7 +131,9 @@ def _qr_pivots(M):
     """Column order of the pivoted QR of the Fortran-order ``M``, which is
     factored in place: LAPACK's ``geqp3`` after the workspace query that
     ``scipy.linalg.qr`` makes, with no copy of ``M`` and no ``R``."""
-    geqp3 = sla.get_lapack_funcs("geqp3", (M,))
+    from scipy.linalg import get_lapack_funcs  # SkQR alone needs it
+
+    geqp3 = get_lapack_funcs("geqp3", (M,))
     lwork = int(geqp3(M, lwork=-1, overwrite_a=1)[-2][0].real)
     _, jpvt, _, _, info = geqp3(M, lwork=lwork, overwrite_a=1)
     if info < 0:
@@ -145,7 +145,7 @@ def _cell_rng(seed, k):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(k))))
 
 
-def _run_cell(A, methods, k, seed, zeta, oversample, measure):
+def _run_cell(A, methods, k, seed, zeta, measure):
     """Run every method of one (k, seed) cell, each from ``_cell_rng``.
 
     Returns ``{method: (measure(dec), seconds)}`` with ``dec`` None for a
@@ -168,15 +168,14 @@ def _run_cell(A, methods, k, seed, zeta, oversample, measure):
     # the baselines first, so that the family's basis is not alive under them
     for method in methods:
         if method not in _FAMILY:
-            timed(method, lambda: run_method(
-                method, A, k, _cell_rng(seed, k), zeta=zeta, oversample=oversample))
+            timed(method, lambda: run_method(method, A, k, _cell_rng(seed, k), zeta))
     family = [method for method in _FAMILY if method in methods]
     if not family:
         return out
     rng = _cell_rng(seed, k)
     t0 = time.perf_counter()
     try:
-        cfg = ArpConfig(k=k, zeta=zeta, oversample=oversample)
+        cfg = ArpConfig(k=k, zeta=zeta)
         Q, pivots = select_pivots(A, cfg, rng)
     except _FAILURES:
         Q = pivots = None
@@ -192,8 +191,7 @@ def _run_cell(A, methods, k, seed, zeta, oversample, measure):
     return out
 
 
-def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
-              oversample=2.0):
+def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4):
     """Run every (method, k, seed) cell on the matrix described by ``spec``.
 
     Duplicate and aliased method names are merged. Each cell runs on the
@@ -228,7 +226,7 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4,
             return residual_fro(B, dec) / fro, dec.effective_rank
 
         for seed in seeds:
-            cell = _run_cell(B, methods, k, seed, zeta, oversample, error_and_rank)
+            cell = _run_cell(B, methods, k, seed, zeta, error_and_rank)
             for method, ((rel, rank), elapsed) in cell.items():
                 records.append(BenchmarkRecord(
                     method=method, matrix=desc, m=m, n=n, k=int(k),

@@ -18,7 +18,7 @@ from .bench import METHOD_ORDER, canonical_method, run_bench, run_method
 from .decompose import fro_norm, residual_fro
 from .errors import InvalidParamError, RowpickError
 from .matrices import MatrixSpec
-from .verify import run_verify, verify_checks
+from .verify import SAMPLER_DRAWS, run_verify, verify_checks
 
 
 def _add_matrix_arg(parser):
@@ -54,7 +54,6 @@ def _build_parser():
                        help=f"one of {', '.join(METHOD_ORDER)} (OptARP = ProjARP)")
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--zeta", type=int, default=4, help="embedding row sparsity")
-    p_dec.add_argument("--oversample", type=float, default=2.0)
     p_dec.add_argument("--out", help="write a JSON report here")
 
     p_bench = sub.add_parser("bench", help="sweep methods x ranks x trials")
@@ -66,13 +65,12 @@ def _build_parser():
     p_bench.add_argument("--seed", type=int, default=0, help="master seed")
     p_bench.add_argument("--trials", type=int, default=10)
     p_bench.add_argument("--zeta", type=int, default=4)
-    p_bench.add_argument("--oversample", type=float, default=2.0)
     p_bench.add_argument("--out", required=True,
                          help="output prefix; writes <out>.csv and <out>.json")
 
     p_ver = sub.add_parser("verify", help="run the oracle-backed self checks")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--draws", type=int, default=30000,
+    p_ver.add_argument("--draws", type=int, default=SAMPLER_DRAWS,
                        help="samples per distribution check")
     p_ver.add_argument("--corrupt", action="store_true",
                        help="deliberately bias the rejection sampler to "
@@ -100,8 +98,7 @@ def _cmd_decompose(args):
     method = canonical_method(args.method)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, args.k)))
     t0 = time.perf_counter()
-    dec = run_method(method, A, args.k, rng, zeta=args.zeta,
-                     oversample=args.oversample)
+    dec = run_method(method, A, args.k, rng, zeta=args.zeta)
     wall = time.perf_counter() - t0
     fro = fro_norm(A)
     rel = residual_fro(A, dec) / fro
@@ -137,7 +134,7 @@ def _cmd_bench(args):
     methods = [v.strip() for v in args.method.split(",") if v.strip()]
     seeds = [args.seed + t for t in range(args.trials)]
     records = run_bench(spec, methods, k_list, seeds, out_path=args.out,
-                        zeta=args.zeta, oversample=args.oversample)
+                        zeta=args.zeta)
     failures = sum(0 if r.ok else 1 for r in records)
     print(f"{len(records)} cells -> {args.out}.csv / {args.out}.json "
           f"({failures} failed)")

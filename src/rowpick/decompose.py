@@ -14,7 +14,7 @@ Each ``W`` is ``X @ P``, one product with the ``P`` that
     than type1 in Frobenius norm for the same pivots.
 ``osid``
     ``W = Y @ pinv(Y[S, :])`` for the sketch ``Y = A @ Phi`` by a fresh
-    oversampled embedding ``Phi``; a fast approximation to type2.
+    embedding ``Phi`` of width ``2k``; a fast approximation to type2.
 
 Empty rows
 ----------
@@ -55,10 +55,7 @@ VARIANTS = ("type1", "type2", "osid")
 
 @dataclass(frozen=True)
 class ArpConfig:
-    """Knobs for :func:`arp_decompose`.
-
-    ``oversample`` only matters for the ``osid`` variant (sketch width
-    ``round(oversample * k)``, padded up to a multiple of ``zeta``).
+    """Knobs for :func:`arp_decompose`; the ``osid`` sketch width is ``2k``.
 
     ``zeta = 1`` sends each of ``A``'s ``n`` columns to one of the ``k``
     sketch columns, so about ``k * (1 - 1/k)**n`` of them stay empty and
@@ -69,7 +66,6 @@ class ArpConfig:
 
     k: int
     zeta: int = 4
-    oversample: float = 2.0
     variant: str = "osid"
     seed: object = None
 
@@ -78,9 +74,6 @@ class ArpConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise InvalidParamError(f"{name} must be an integer >= 1, got {value!r}")
-        if not 1.0 <= self.oversample < math.inf:
-            raise InvalidParamError(
-                f"oversample must be finite and >= 1, got {self.oversample!r}")
         if self.variant not in VARIANTS:
             raise InvalidParamError(f"variant must be one of {VARIANTS}")
 
@@ -236,11 +229,11 @@ def build_w(A, pivots, cfg, rng, basis=None):
     matrix ``W`` of ``cfg.variant``.
 
     ``type1`` needs ``basis``, the ``Q`` :func:`select_pivots` returns with
-    the pivots. Only ``osid`` draws from ``rng``: one embedding of width
-    ``round(cfg.oversample * cfg.k)``, padded up to a multiple of
-    ``cfg.zeta``. So after one :func:`select_pivots`, building the variants
-    in the order of ``VARIANTS`` gives what separate :func:`arp_decompose`
-    calls with the same seed give.
+    the pivots. Only ``osid`` draws from ``rng``: one embedding of the fixed
+    width ``2 * cfg.k``, padded up to a multiple of ``cfg.zeta``. So after
+    one :func:`select_pivots`, building the variants in the order of
+    ``VARIANTS`` gives what separate :func:`arp_decompose` calls with the
+    same seed give.
 
     Every variant is ``X @ P`` for ``(P, fallback)`` the
     :func:`~rowpick.linalg.pinv` of ``X[S, :]``, with ``X`` the basis
@@ -270,8 +263,8 @@ def build_w(A, pivots, cfg, rng, basis=None):
         P, fallback = pinv(_take_rows(A, S))
         W = np.ascontiguousarray(A @ P)
     else:
-        width = _round_up_multiple(int(round(cfg.oversample * cfg.k)), cfg.zeta)
-        omega = sparse_sign_embedding(A.shape[1], width, cfg.zeta, rng)
+        omega = sparse_sign_embedding(
+            A.shape[1], _round_up_multiple(2 * cfg.k, cfg.zeta), cfg.zeta, rng)
         P, fallback = pinv(sketch_apply(_take_rows(A, S), omega))
         W = sketch_times(A, omega, P)
     if not fallback:
@@ -285,7 +278,7 @@ def arp_decompose(A, cfg, rng=None):
     :func:`select_pivots`, then :func:`build_w` of ``cfg.variant``.
 
     A pure function of ``(A, cfg, seed)``: the rangefinder sketch, the
-    pivot sampler, and (for ``osid``) the oversampling sketch all consume
+    pivot sampler, and (for ``osid``) the width-``2k`` sketch all consume
     one generator stream seeded from ``cfg.seed`` unless an explicit ``rng``
     is supplied. Both phases run on the rows of ``A`` that hold a nonzero
     (see Empty rows in the module docstring).

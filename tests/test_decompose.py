@@ -36,7 +36,7 @@ from rowpick.samplers import rejection_rpqr
 class TestArpConfig:
     def test_defaults(self):
         cfg = ArpConfig(k=5)
-        assert cfg.zeta == 4 and cfg.oversample == 2.0 and cfg.variant == "osid"
+        assert cfg.zeta == 4 and cfg.variant == "osid"
 
     def test_validation(self):
         with pytest.raises(InvalidParamError):
@@ -44,13 +44,10 @@ class TestArpConfig:
         with pytest.raises(InvalidParamError):
             ArpConfig(k=3, zeta=0)
         with pytest.raises(InvalidParamError):
-            ArpConfig(k=3, oversample=0.5)
-        with pytest.raises(InvalidParamError):
             ArpConfig(k=3, variant="type3")
 
     @pytest.mark.parametrize("kwargs", [
         {"k": 2.5}, {"k": 2.0}, {"k": "2"}, {"k": 2, "zeta": 1.5},
-        {"k": 2, "oversample": float("nan")}, {"k": 2, "oversample": float("inf")},
     ])
     def test_non_integer_or_non_finite_refused(self, kwargs):
         with pytest.raises(InvalidParamError):

@@ -523,47 +523,92 @@ class TestInclusionLaw:
     its leverage score, at any size. Over ``N`` draws of one object the
     counts ``c_i`` give ``z_i^2 = (c_i - N l_i)^2 / (N l_i (1 - l_i))``, each
     about 1 under the law, and their mean over the m rows stays below the
-    chi-square quantile at a false-alarm rate of 1e-6."""
+    chi-square quantile at a false-alarm rate of 1e-6.
+
+    The same law puts rows ``i`` and ``j`` in one draw with probability
+    ``l_i l_j - (Q_i . Q_j)^2``, which only the accept pass's Schur
+    downdate keeps below ``l_i l_j``. On the 200 pairs it keeps apart the
+    most, the count ``Y`` of those pairs inside a draw has an exact mean,
+    and over ``N`` independent draws ``z = (sum Y - N E[Y]) / sqrt(N
+    var(Y))`` is about normal; ``|z| <= 5`` is a two-sided false-alarm
+    rate of about 6e-7. At 5,000 draws this certifies only that the
+    downdate is there: a removed one reads ``z`` above 20, while one 10%
+    too weak is not reliably caught."""
 
     DRAWS = 5000
+    PAIRS = 200
 
     @staticmethod
     def basis():
         G = np.random.default_rng(0).standard_normal((200, 10))
         return orth(G * np.linspace(0.2, 3.0, 200)[:, None])
 
-    def mean_z2(self, Q, sampler, **kwargs):
-        # the draws that did not raise; an error ends an iterator, so a
-        # fresh one continues the count
-        lev = np.einsum("ij,ij->i", Q, Q)
-        counts = np.zeros(Q.shape[0])
+    def included(self, Q, sampler, **kwargs):
+        # one row per draw that did not raise, True on the draw's pivots;
+        # an error ends an iterator, so a fresh one continues the count
+        X = np.zeros((self.DRAWS, Q.shape[0]), dtype=bool)
         rng = np.random.default_rng(1)
         done = 0
         while done < self.DRAWS:
             try:
                 for out in sampler.draws(rng, self.DRAWS - done, **kwargs):
-                    counts[(out[0] if isinstance(out, tuple) else out).indices] += 1
+                    X[done, (out[0] if isinstance(out, tuple) else out).indices] = True
                     done += 1
             except RankDeficientUpdateError:
                 pass
-        expected = done * lev
-        return float(np.mean((counts - expected) ** 2 / (expected * (1.0 - lev))))
+        return X
+
+    @staticmethod
+    def mean_z2(Q, X):
+        lev = np.einsum("ij,ij->i", Q, Q)
+        expected = len(X) * lev
+        return float(np.mean((X.sum(axis=0) - expected) ** 2 / (expected * (1.0 - lev))))
+
+    def pairs_z(self, Q, X):
+        lev = np.einsum("ij,ij->i", Q, Q)
+        i, j = np.triu_indices(Q.shape[0], 1)
+        coupling = np.einsum("ij,ij->i", Q[i], Q[j]) ** 2
+        top = np.argsort(coupling / (lev[i] * lev[j]), kind="stable")[-self.PAIRS:]
+        i, j, coupling = i[top], j[top], coupling[top]
+        Y = np.count_nonzero(X[:, i] & X[:, j], axis=1)
+        mean = float(np.sum(lev[i] * lev[j] - coupling))
+        return float((Y.sum() - len(Y) * mean) / math.sqrt(len(Y) * Y.var()))
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        Q = self.basis()
+        return Q, {"rejection": self.included(Q, RejectionSampler(Q)),
+                   "sequential": self.included(Q, SequentialSampler(Q.T, Q.shape[1]))}
 
     @staticmethod
     def threshold(m):
         from scipy.stats import chi2
         return chi2.ppf(1.0 - 1e-6, m) / m
 
-    def test_both_samplers_keep_the_inclusion_law(self):
-        Q = self.basis()
+    def test_both_samplers_keep_the_inclusion_law(self, samples):
+        Q, drawn = samples
         limit = self.threshold(Q.shape[0])
-        assert self.mean_z2(Q, RejectionSampler(Q)) < limit
-        assert self.mean_z2(Q, SequentialSampler(Q.T, Q.shape[1])) < limit
+        for X in drawn.values():
+            assert self.mean_z2(Q, X) < limit
 
     def test_biased_acceptance_fails_the_check(self):
         Q = self.basis()
-        assert (self.mean_z2(Q, RejectionSampler(Q), _accept_bias=0.005)
-                > self.threshold(Q.shape[0]))
+        X = self.included(Q, RejectionSampler(Q), _accept_bias=0.005)
+        assert self.mean_z2(Q, X) > self.threshold(Q.shape[0])
+
+    def test_both_samplers_keep_the_pair_law(self, samples):
+        Q, drawn = samples
+        for X in drawn.values():
+            assert abs(self.pairs_z(Q, X)) <= 5.0
+
+    def test_removed_downdate_fails_the_pairs_check(self, monkeypatch):
+        # the accept pass sees no coupling between a round's proposals, so
+        # it never downdates; the QR still projects out earlier rounds
+        accept_pass = samplers._accept_pass
+        monkeypatch.setattr(samplers, "_accept_pass", lambda H, *args: accept_pass(
+            np.diag(H.diagonal()), *args))
+        Q = self.basis()
+        assert self.pairs_z(Q, self.included(Q, RejectionSampler(Q))) > 5.0
 
 
 class TestPinnedDrawStreams:

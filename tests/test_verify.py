@@ -133,11 +133,13 @@ class TestRunVerify:
                 assert got == want  # every other check keeps its stream
 
 
-def test_import_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    # verify's chi-square and SkQR's pivoted QR import these when they run
     src = str(Path(rowpick.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = "import sys, rowpick; print('scipy.stats' in sys.modules)"
+    probe = f"import sys, rowpick; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"
