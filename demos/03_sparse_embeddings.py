@@ -33,7 +33,7 @@ print(f"\nmax |sketch_apply(A, omega) - A @ omega| = "
 # its range nearly as well as the exact rank-k truncation
 A = np.arange(1, 201.0)[:, None] ** -2.0 * rng.standard_normal((200, 200))
 k = 20
-Q = rp.rangefinder(A, k, 4, rng)
+Q = rp.rangefinder(A, k, rng)
 sv = np.linalg.svd(A, compute_uv=False)
 optimal = np.sqrt(np.sum(sv[k:] ** 2))
 err = np.linalg.norm(A - Q @ (Q.T @ A))

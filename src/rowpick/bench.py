@@ -41,10 +41,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .decompose import (
+    ZETA,
     ArpConfig,
     _lift_decomposition,
     _nonempty_rows,
-    _round_up_multiple,
+    _require_int,
+    _round_up,
     arp_decompose,
     build_w,
     fro_norm,
@@ -99,25 +101,21 @@ def canonical_method(name):
     return name
 
 
-def run_method(method, A, k, rng, zeta=4):
-    """Run one named method at rank ``k`` and return its decomposition.
-
-    Every method decomposes the rows of ``A`` that hold a nonzero as a
-    matrix of their own and lifts the result (see the module docstring): a
-    row with no nonzero is never a pivot, gets a zero row of ``W`` and
-    costs nothing. SkQR sketches and factors only those rows, and RPQR
-    samples only those columns of ``A^T``.
-    """
+def run_method(method, A, k, rng):
+    """Run one named method at rank ``k`` and return its decomposition,
+    made on the rows of ``A`` that hold a nonzero and lifted (see the module
+    docstring): SkQR sketches and factors only those rows, and RPQR samples
+    only those columns of ``A^T``."""
     method = canonical_method(method)
     m, n = A.shape
     if not 1 <= k <= min(m, n):
         raise InvalidParamError(f"need 1 <= k <= min{A.shape}, got {k}")
-    cfg = ArpConfig(k=k, zeta=zeta, variant=_VARIANTS[method])
+    cfg = ArpConfig(k=k, variant=_VARIANTS[method])
     if method in _FAMILY:
         return arp_decompose(A, cfg, rng)
-    rows, B = _nonempty_rows(A, k, zeta)
+    rows, B = _nonempty_rows(A, k)
     if method == "SkQR":
-        emb = sparse_sign_embedding(n, _round_up_multiple(k, zeta), zeta, rng)
+        emb = sparse_sign_embedding(n, _round_up(k), ZETA, rng)
         pivots = PivotSet(_qr_pivots(sketch_apply(B, emb).T)[:k], B.shape[0])
     else:  # RPQR: sequential selection, projection W
         try:
@@ -145,7 +143,7 @@ def _cell_rng(seed, k):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(k))))
 
 
-def _run_cell(A, methods, k, seed, zeta, measure):
+def _run_cell(A, methods, k, seed, measure):
     """Run every method of one (k, seed) cell, each from ``_cell_rng``.
 
     Returns ``{method: (measure(dec), seconds)}`` with ``dec`` None for a
@@ -168,14 +166,14 @@ def _run_cell(A, methods, k, seed, zeta, measure):
     # the baselines first, so that the family's basis is not alive under them
     for method in methods:
         if method not in _FAMILY:
-            timed(method, lambda: run_method(method, A, k, _cell_rng(seed, k), zeta))
+            timed(method, lambda: run_method(method, A, k, _cell_rng(seed, k)))
     family = [method for method in _FAMILY if method in methods]
     if not family:
         return out
     rng = _cell_rng(seed, k)
     t0 = time.perf_counter()
     try:
-        cfg = ArpConfig(k=k, zeta=zeta)
+        cfg = ArpConfig(k=k)
         Q, pivots = select_pivots(A, cfg, rng)
     except _FAILURES:
         Q = pivots = None
@@ -191,7 +189,7 @@ def _run_cell(A, methods, k, seed, zeta, measure):
     return out
 
 
-def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4):
+def run_bench(spec, methods, k_list, seeds, out_path=None):
     """Run every (method, k, seed) cell on the matrix described by ``spec``.
 
     Duplicate and aliased method names are merged. Each cell runs on the
@@ -203,22 +201,24 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4):
     and ``<out_path>.json`` (per-(method, k) mean/min/max relative error).
 
     Returns the records in canonical sorted order. An empty ``k_list`` or
-    ``seeds`` and a rank or ``zeta`` not an integer >= 1 are refused with
-    :class:`InvalidParamError` before the matrix is built; a rank above
-    ``min(m, n)`` is a failed cell.
+    ``seeds``, a rank that is not an integer >= 1 and a seed that is not an
+    integer >= 0 are refused with :class:`InvalidParamError` before the
+    matrix is built; a rank above ``min(m, n)`` is a failed cell.
     """
     methods = list(dict.fromkeys(canonical_method(name) for name in methods))
     if len(k_list) == 0 or len(seeds) == 0:
         raise InvalidParamError("need at least one rank and one seed")
     for k in k_list:
-        ArpConfig(k=k, zeta=zeta)  # checks both
+        _require_int("k", k, 1)
+    for seed in seeds:
+        _require_int("seed", seed, 0)
     A = spec.build()
     desc = spec.describe()
     m, n = A.shape
     fro = fro_norm(A)
     records = []
     for k in k_list:
-        _, B = _nonempty_rows(A, k, zeta)
+        _, B = _nonempty_rows(A, k)
 
         def error_and_rank(dec):
             if dec is None:
@@ -226,7 +226,7 @@ def run_bench(spec, methods, k_list, seeds, out_path=None, zeta=4):
             return residual_fro(B, dec) / fro, dec.effective_rank
 
         for seed in seeds:
-            cell = _run_cell(B, methods, k, seed, zeta, error_and_rank)
+            cell = _run_cell(B, methods, k, seed, error_and_rank)
             for method, ((rel, rank), elapsed) in cell.items():
                 records.append(BenchmarkRecord(
                     method=method, matrix=desc, m=m, n=n, k=int(k),

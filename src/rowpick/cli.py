@@ -14,8 +14,8 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from .bench import METHOD_ORDER, canonical_method, run_bench, run_method
-from .decompose import fro_norm, residual_fro
+from .bench import METHOD_ORDER, _cell_rng, canonical_method, run_bench, run_method
+from .decompose import _require_int, fro_norm, residual_fro
 from .errors import InvalidParamError, RowpickError
 from .matrices import MatrixSpec
 from .verify import SAMPLER_DRAWS, run_verify, verify_checks
@@ -53,7 +53,6 @@ def _build_parser():
     p_dec.add_argument("--method", default="SkARP",
                        help=f"one of {', '.join(METHOD_ORDER)} (OptARP = ProjARP)")
     p_dec.add_argument("--seed", type=int, default=0)
-    p_dec.add_argument("--zeta", type=int, default=4, help="embedding row sparsity")
     p_dec.add_argument("--out", help="write a JSON report here")
 
     p_bench = sub.add_parser("bench", help="sweep methods x ranks x trials")
@@ -64,7 +63,6 @@ def _build_parser():
                          help="comma-separated method list")
     p_bench.add_argument("--seed", type=int, default=0, help="master seed")
     p_bench.add_argument("--trials", type=int, default=10)
-    p_bench.add_argument("--zeta", type=int, default=4)
     p_bench.add_argument("--out", required=True,
                          help="output prefix; writes <out>.csv and <out>.json")
 
@@ -93,12 +91,13 @@ def _cmd_gen(args):
 
 
 def _cmd_decompose(args):
+    _require_int("seed", args.seed, 0)
     spec = MatrixSpec.parse(args.matrix, full_scale=args.full_scale)
     A = spec.build()
     method = canonical_method(args.method)
-    rng = np.random.default_rng(np.random.SeedSequence((args.seed, args.k)))
+    rng = _cell_rng(args.seed, args.k)
     t0 = time.perf_counter()
-    dec = run_method(method, A, args.k, rng, zeta=args.zeta)
+    dec = run_method(method, A, args.k, rng)
     wall = time.perf_counter() - t0
     fro = fro_norm(A)
     rel = residual_fro(A, dec) / fro
@@ -133,8 +132,7 @@ def _cmd_bench(args):
             f"--k must be a comma-separated list of integers, got {args.k!r}") from None
     methods = [v.strip() for v in args.method.split(",") if v.strip()]
     seeds = [args.seed + t for t in range(args.trials)]
-    records = run_bench(spec, methods, k_list, seeds, out_path=args.out,
-                        zeta=args.zeta)
+    records = run_bench(spec, methods, k_list, seeds, out_path=args.out)
     failures = sum(0 if r.ok else 1 for r in records)
     print(f"{len(records)} cells -> {args.out}.csv / {args.out}.json "
           f"({failures} failed)")
@@ -154,14 +152,10 @@ def _cmd_verify(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    commands = {"gen": _cmd_gen, "decompose": _cmd_decompose,
+                "bench": _cmd_bench, "verify": _cmd_verify}
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        return _cmd_verify(args)
+        return commands[args.command](args)
     except (RowpickError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

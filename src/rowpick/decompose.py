@@ -51,29 +51,22 @@ from .samplers import PivotSet, rejection_rpqr
 from .sketch import sketch_apply, sketch_times, sparse_sign_embedding
 
 VARIANTS = ("type1", "type2", "osid")
+ZETA = 4  # nonzeros per embedding row; with 1, sketches lose rank when k is near n
 
 
 @dataclass(frozen=True)
 class ArpConfig:
-    """Knobs for :func:`arp_decompose`; the ``osid`` sketch width is ``2k``.
-
-    ``zeta = 1`` sends each of ``A``'s ``n`` columns to one of the ``k``
-    sketch columns, so about ``k * (1 - 1/k)**n`` of them stay empty and
-    the basis loses that much rank when ``k`` is near ``n``: on a 30 x 20
-    Gaussian at ``k = 20`` the mean ``effective_rank`` is 12.85, against
-    19.57 with ``zeta = 4``.
-    """
+    """Rank ``k``, ``variant`` and ``seed`` of :func:`arp_decompose`; the
+    seed is what ``default_rng`` takes, and an integer one must be >= 0."""
 
     k: int
-    zeta: int = 4
     variant: str = "osid"
     seed: object = None
 
     def __post_init__(self):
-        for name in ("k", "zeta"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise InvalidParamError(f"{name} must be an integer >= 1, got {value!r}")
+        _require_int("k", self.k, 1)
+        if isinstance(self.seed, (int, np.integer)):
+            _require_int("seed", self.seed, 0)
         if self.variant not in VARIANTS:
             raise InvalidParamError(f"variant must be one of {VARIANTS}")
 
@@ -124,8 +117,14 @@ class InterpolativeDecomposition:
         return hash(self._key())
 
 
-def _round_up_multiple(k, zeta):
-    return ((k + zeta - 1) // zeta) * zeta
+def _require_int(name, value, low):
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidParamError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _round_up(k):
+    """``k`` rounded up to a multiple of ``ZETA``."""
+    return -(-k // ZETA) * ZETA
 
 
 def _take_rows(A, idx):
@@ -134,10 +133,10 @@ def _take_rows(A, idx):
     return np.asarray(A[idx, :], dtype=np.float64)
 
 
-def _nonempty_rows(A, k, zeta):
+def _nonempty_rows(A, k):
     """``(rows, A[rows])`` for the ascending indices ``rows`` of the rows
     of ``A`` that hold a nonzero, or ``(None, A)`` when every row does, or
-    fewer than the rangefinder's sketch width ``round_up(k, zeta)`` do, or
+    fewer than the rangefinder's sketch width ``round_up(k, ZETA)`` do, or
     ``k`` exceeds the column count.
 
     A NaN counts as a nonzero and a stored zero does not. A sparse
@@ -157,7 +156,7 @@ def _nonempty_rows(A, k, zeta):
             return None, A
         live = C.any(axis=1)
     rows = np.flatnonzero(live)
-    if k > A.shape[1] or not _round_up_multiple(k, zeta) <= rows.size < m:
+    if k > A.shape[1] or not _round_up(k) <= rows.size < m:
         return None, A
     return rows, C[rows]
 
@@ -176,14 +175,15 @@ def _lift_decomposition(rows, m, dec):
         config=dec.config, pinv_fallback=dec.pinv_fallback)
 
 
-def rangefinder(A, k, zeta, rng):
+def rangefinder(A, k, rng):
     """Orthonormal ``Q`` approximating the range of ``A`` from one sketch.
 
-    The sketch width is ``k`` rounded up to a multiple of ``zeta``, or
-    ``k`` itself with row sparsity ``gcd(k, zeta)`` when that multiple
-    exceeds the row count; after orthonormalization the basis is truncated
-    back to at most ``k`` columns. A width below ``k`` reports numerical
-    rank deficiency of the sketch and is not an error; a width of 0 is.
+    The sketch width is ``k`` rounded up to a multiple of ``ZETA``, with
+    ``ZETA`` nonzeros per embedding row, or ``k`` itself with
+    ``gcd(k, ZETA)`` of them when that multiple exceeds the row count.
+    After orthonormalization the basis is truncated back to at most ``k``
+    columns. A width below ``k`` reports numerical rank deficiency of the
+    sketch and is not an error; a width of 0 is.
 
     Raises
     ------
@@ -193,9 +193,9 @@ def rangefinder(A, k, zeta, rng):
     m, n = A.shape
     if not 1 <= k <= min(m, n):
         raise DimensionMismatchError(f"need 1 <= k <= min{A.shape}, got {k}")
-    width = _round_up_multiple(k, zeta)
+    width, zeta = _round_up(k), ZETA
     if width > m:
-        width, zeta = k, math.gcd(k, zeta)
+        width, zeta = k, math.gcd(k, ZETA)
     emb = sparse_sign_embedding(n, width, zeta, rng)
     Q = orth(sketch_apply(A, emb))
     if not Q.shape[1]:
@@ -220,7 +220,7 @@ def select_pivots(A, cfg, rng):
     then the sampler, both on every row of ``A`` (see Empty rows in the
     module docstring).
     """
-    Q = rangefinder(A, cfg.k, cfg.zeta, rng)
+    Q = rangefinder(A, cfg.k, rng)
     return Q, rejection_rpqr(Q, rng)[0]
 
 
@@ -230,7 +230,7 @@ def build_w(A, pivots, cfg, rng, basis=None):
 
     ``type1`` needs ``basis``, the ``Q`` :func:`select_pivots` returns with
     the pivots. Only ``osid`` draws from ``rng``: one embedding of the fixed
-    width ``2 * cfg.k``, padded up to a multiple of ``cfg.zeta``. So after
+    width ``round_up(2 * cfg.k, ZETA)`` with ``ZETA`` nonzeros per row. So after
     one :func:`select_pivots`, building the variants in the order of
     ``VARIANTS`` gives what separate :func:`arp_decompose` calls with the
     same seed give.
@@ -263,8 +263,7 @@ def build_w(A, pivots, cfg, rng, basis=None):
         P, fallback = pinv(_take_rows(A, S))
         W = np.ascontiguousarray(A @ P)
     else:
-        omega = sparse_sign_embedding(
-            A.shape[1], _round_up_multiple(2 * cfg.k, cfg.zeta), cfg.zeta, rng)
+        omega = sparse_sign_embedding(A.shape[1], _round_up(2 * cfg.k), ZETA, rng)
         P, fallback = pinv(sketch_apply(_take_rows(A, S), omega))
         W = sketch_times(A, omega, P)
     if not fallback:
@@ -285,7 +284,7 @@ def arp_decompose(A, cfg, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    rows, B = _nonempty_rows(A, cfg.k, cfg.zeta)
+    rows, B = _nonempty_rows(A, cfg.k)
     Q, pivots = select_pivots(B, cfg, rng)
     return _lift_decomposition(rows, A.shape[0], build_w(B, pivots, cfg, rng, basis=Q))
 

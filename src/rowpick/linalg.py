@@ -4,8 +4,8 @@ Conventions used throughout the library:
 
 * dense matrices are ``numpy.ndarray`` of dtype float64 in C (row-major)
   storage order;
-* sparse matrices are ``scipy.sparse.csc_array`` in canonical form
-  (sorted row indices, no duplicates);
+* sparse matrices come in any scipy format; the sketch, the residual and
+  the empty-row scan read a canonical CSR copy (see :func:`_canonical`);
 * the relative cutoff for every rank decision is the single constant
   ``RANK_RTOL``, taken relative to a Frobenius norm that neither overflows
   nor underflows at any scale of the input;

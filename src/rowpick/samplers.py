@@ -53,14 +53,18 @@ class PivotSet:
     """Ordered, duplicate-free row indices in ``[0, m)``.
 
     ``indices`` preserves selection order, and equality and hashing respect
-    it: ``[1, 2]`` and ``[2, 1]`` are different pivot sets.
+    it: ``[1, 2]`` and ``[2, 1]`` are different pivot sets. Indices of a
+    non-integer dtype, bool included, are refused.
     """
 
     indices: np.ndarray
     m: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp)
+        idx = np.asarray(self.indices)
+        if idx.size and idx.dtype.kind not in "iu":  # astype truncates floats, reads bools as 0/1
+            raise InvalidParamError(f"pivot indices must be integers, got {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
         object.__setattr__(self, "indices", idx)
         if idx.ndim != 1:
             raise DimensionMismatchError("pivot indices must be 1-D")

@@ -18,7 +18,8 @@ from collections import Counter
 
 import numpy as np
 
-from .decompose import ArpConfig, arp_decompose, residual_fro
+from .bench import _cell_rng
+from .decompose import ArpConfig, _require_int, arp_decompose, residual_fro
 from .errors import InvalidParamError, RowpickError
 from .linalg import orth
 from .oracle import (
@@ -40,10 +41,6 @@ def _tv_limit(draws, pair=False):
     # exact one); allow 2.5x that, floored so corruption stays detectable
     scale = 5.3 if pair else 3.7
     return min(max(scale / np.sqrt(draws), 0.03 if pair else 0.02), 0.3)
-
-
-def _rng(seed, index):
-    return np.random.default_rng(np.random.SeedSequence((int(seed), index)))
 
 
 def _chi_square_pvalue(dist, empirical, draws):
@@ -157,8 +154,9 @@ def verify_checks(seed=0, corrupt=False, draws=SAMPLER_DRAWS):
     Raises
     ------
     InvalidParamError
-        ``draws`` is below 1.
+        ``seed`` is not an integer >= 0, or ``draws`` is below 1.
     """
+    _require_int("seed", seed, 0)
     if draws < 1:
         raise InvalidParamError(f"draws must be >= 1, got {draws}")
     bias = 0.05 if corrupt else 0.0
@@ -170,7 +168,7 @@ def verify_checks(seed=0, corrupt=False, draws=SAMPLER_DRAWS):
         single = isinstance(names, str)
         names = [names] if single else names
         try:
-            outcomes = fn(_rng(seed, len(results)))
+            outcomes = fn(_cell_rng(seed, len(results)))
             outcomes = [outcomes] if single else outcomes
         except RowpickError as exc:
             # a checked routine refusing to run is itself a failed check
@@ -232,7 +230,7 @@ def verify_checks(seed=0, corrupt=False, draws=SAMPLER_DRAWS):
         for variant in ("type1", "type2", "osid"):
             for _ in range(5):
                 A = rng.standard_normal((30, 20))
-                cfg = ArpConfig(k=5, zeta=2, variant=variant)
+                cfg = ArpConfig(k=5, variant=variant)
                 dec = arp_decompose(A, cfg, rng)
                 sub = dec.w[dec.pivots.indices, :]
                 worst = max(worst, float(np.linalg.norm(sub - np.eye(len(dec.pivots)))))
@@ -244,7 +242,7 @@ def verify_checks(seed=0, corrupt=False, draws=SAMPLER_DRAWS):
             seed_pair = int(rng.integers(0, 2**31))
             errors = {}
             for variant in ("type1", "type2"):
-                cfg = ArpConfig(k=6, zeta=2, variant=variant, seed=seed_pair)
+                cfg = ArpConfig(k=6, variant=variant, seed=seed_pair)
                 dec = arp_decompose(A, cfg)
                 errors[variant] = residual_fro(A, dec)
             if errors["type2"] > errors["type1"] + 1e-12 * np.linalg.norm(A):

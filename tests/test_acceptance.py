@@ -157,7 +157,7 @@ def test_criterion_07_interpolation_property(capsys):
         rng = np.random.default_rng(7000 + i)
         A = rng.standard_normal((30, 24))
         for variant in rp.VARIANTS:
-            cfg = rp.ArpConfig(k=5, zeta=4, variant=variant)
+            cfg = rp.ArpConfig(k=5, variant=variant)
             dec = rp.arp_decompose(A, cfg, np.random.default_rng(500 + i))
             sub = dec.w[dec.pivots.indices, :]
             worst = max(
@@ -197,7 +197,7 @@ def test_criterion_09_block_sampler_speedup(capsys):
     sampler on the same basis."""
     rng = np.random.default_rng(0)
     A = rp.gen_decay_dense(4000, 4000, rng)
-    Q = rp.rangefinder(A, 400, 4, rng)
+    Q = rp.rangefinder(A, 400, rng)
     t0 = time.perf_counter()
     rp.rejection_rpqr(Q, np.random.default_rng(1))
     t_block = time.perf_counter() - t0
@@ -263,7 +263,7 @@ def test_criterion_11_rangefinder_sanity(capsys):
         left = rp.orth(rng.standard_normal((40, r)))
         right = rp.orth(rng.standard_normal((25, r))).T
         A = left @ np.diag(np.arange(1.0, r + 1.0)) @ right
-        Q = rp.rangefinder(A, min(8, 25), 4, rng)
+        Q = rp.rangefinder(A, min(8, 25), rng)
         err = np.linalg.norm(A - Q @ (Q.T @ A))
         if err > 1e-10 * np.linalg.norm(A):
             exact_ok = False
@@ -275,7 +275,7 @@ def test_criterion_11_rangefinder_sanity(capsys):
         A = np.arange(1, m + 1.0)[:, None] ** -2.0 * rng.standard_normal((m, n))
         sv = np.linalg.svd(A, compute_uv=False)
         optimal_half = math.sqrt(float(np.sum(sv[k // 2:] ** 2)))
-        Q = rp.rangefinder(A, k, 4, rng)
+        Q = rp.rangefinder(A, k, rng)
         if np.linalg.norm(A - Q @ (Q.T @ A)) <= 10.0 * optimal_half:
             hits += 1
     ok = exact_ok and hits >= 9

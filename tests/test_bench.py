@@ -145,7 +145,7 @@ class TestMethodDispatch:
     )
     def test_every_method_runs_and_interpolates(self, method):
         A = SPEC.build()
-        dec = run_method(method, A, 5, np.random.default_rng(0), zeta=2)
+        dec = run_method(method, A, 5, np.random.default_rng(0))
         sub = dec.w[dec.pivots.indices, :]
         assert np.linalg.norm(sub - np.eye(len(dec.pivots))) <= 1e-8
         assert len(dec.pivots) == 5
@@ -154,8 +154,8 @@ class TestMethodDispatch:
     def test_rpqr_handles_sparse_input(self):
         spec = MatrixSpec.parse("sparse-decay:m=80,n=30,nnz=6,seed=2")
         A = spec.build()
-        dec = run_method("RPQR", A, 4, np.random.default_rng(1), zeta=2)
-        dense = run_method("RPQR", A.toarray(), 4, np.random.default_rng(1), zeta=2)
+        dec = run_method("RPQR", A, 4, np.random.default_rng(1))
+        dense = run_method("RPQR", A.toarray(), 4, np.random.default_rng(1))
         assert len(dec.pivots) == 4
         assert dec.pivots == dense.pivots
         np.testing.assert_allclose(dec.w, dense.w, rtol=0, atol=1e-12)
@@ -193,16 +193,6 @@ class TestMethodDispatch:
         for method in METHOD_ORDER:
             with pytest.raises(InvalidParamError, match="^A has a NaN or infinite entry"):
                 run_method(method, A, 3, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_bad_zeta_refused_on_empty_rows(self, sparse):
-        # the config is checked before the row scan divides by zeta
-        A = SPEC.build()
-        A[::2] = 0.0
-        A = sp.csc_array(A) if sparse else A
-        for method in METHOD_ORDER:
-            with pytest.raises(InvalidParamError, match="^zeta must be"):
-                run_method(method, A, 3, np.random.default_rng(0), zeta=0)
 
     def test_sparse_pivots_pinned(self):
         # 78% of the rows hold no entry; the digests are of the pivots, in
@@ -245,8 +235,8 @@ class TestMethodDispatch:
 
     def test_skqr_pivots_deterministic_given_stream(self):
         A = SPEC.build()
-        a = run_method("SkQR", A, 4, np.random.default_rng(9), zeta=2)
-        b = run_method("SkQR", A, 4, np.random.default_rng(9), zeta=2)
+        a = run_method("SkQR", A, 4, np.random.default_rng(9))
+        b = run_method("SkQR", A, 4, np.random.default_rng(9))
         np.testing.assert_array_equal(a.pivots.indices, b.pivots.indices)
 
 
@@ -277,7 +267,7 @@ class TestRunBench:
         out = tmp_path / "bench"
         records = run_bench(
             SPEC, ["ARP", "ProjARP"], [4, 6], seeds=range(3),
-            out_path=str(out), zeta=2,
+            out_path=str(out),
         )
         assert len(records) == 12
         assert all(r.wall_time_s > 0 for r in records)
@@ -294,13 +284,13 @@ class TestRunBench:
     def test_csv_round_trip(self, tmp_path):
         out = tmp_path / "bench"
         records = run_bench(
-            SPEC, ["SkARP"], [3], seeds=range(2), out_path=str(out), zeta=2
+            SPEC, ["SkARP"], [3], seeds=range(2), out_path=str(out)
         )
         parsed = read_csv(str(out) + ".csv")
         assert parsed == records
 
     def test_csv_bytes_stable(self, tmp_path):
-        records = run_bench(SPEC, ["ARP"], [3], seeds=range(2), zeta=2)
+        records = run_bench(SPEC, ["ARP"], [3], seeds=range(2))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records_csv(records, p1)
         write_records_csv(records, p2)
@@ -309,7 +299,7 @@ class TestRunBench:
     def test_json_summary(self, tmp_path):
         out = tmp_path / "bench"
         run_bench(SPEC, ["ARP", "OptARP"], [4], seeds=range(3),
-                  out_path=str(out), zeta=2)
+                  out_path=str(out))
         summary = json.loads((tmp_path / "bench.json").read_text())
         assert summary["matrix"] == SPEC.describe()
         cell = summary["results"]["ProjARP"]["4"]
@@ -318,7 +308,7 @@ class TestRunBench:
 
     def test_failed_cell_recorded_not_raised(self, tmp_path):
         # k larger than min(m, n) cannot run; the row must carry nan
-        records = run_bench(SPEC, ["ARP"], [45], seeds=[0], zeta=2)
+        records = run_bench(SPEC, ["ARP"], [45], seeds=[0])
         assert len(records) == 1
         assert math.isnan(records[0].rel_fro_error)
         assert records[0].effective_rank == 0
@@ -328,7 +318,7 @@ class TestRunBench:
         assert "mean" not in summary["results"]["ARP"]["45"]
 
     def test_nan_round_trips_through_csv(self, tmp_path):
-        records = run_bench(SPEC, ["ARP"], [45], seeds=[0], zeta=2)
+        records = run_bench(SPEC, ["ARP"], [45], seeds=[0])
         path = tmp_path / "fail.csv"
         write_records_csv(records, path)
         parsed = read_csv(path)
@@ -336,7 +326,7 @@ class TestRunBench:
         assert parsed[0].effective_rank == 0
 
     def test_aliased_methods_merged(self):
-        records = run_bench(SPEC, ["ProjARP", "OptARP"], [4], [0, 1], zeta=2)
+        records = run_bench(SPEC, ["ProjARP", "OptARP"], [4], [0, 1])
         assert [(r.method, r.seed) for r in records] == [("ProjARP", 0), ("ProjARP", 1)]
         assert summarize_records(records)["results"]["ProjARP"]["4"]["trials"] == 2
 
@@ -376,17 +366,19 @@ class TestRunBench:
 
     @pytest.mark.parametrize("spec", ["sparse-decay:m=300,n=40,nnz=3,seed=0",
                                       "dense-decay:m=30,n=30,seed=0"])
-    @pytest.mark.parametrize("k_list, zeta, name", [
-        ([3], 0, "zeta"), ([3], -1, "zeta"), ([-2], 4, "k"), ([3, 0], 4, "k"),
-        ([2.5], 4, "k")])
-    def test_bad_rank_or_zeta_refused_before_the_build(self, spec, k_list, zeta, name,
+    @pytest.mark.parametrize("k_list, seeds, name", [
+        ([3], [-1], "seed"), ([3], [0, 1.5], "seed"), ([-2], [0], "k"), ([3, 0], [0], "k"),
+        ([2.5], [0], "k")])
+    def test_bad_rank_or_seed_refused_before_the_build(self, spec, k_list, seeds, name,
                                                        tmp_path, monkeypatch):
         # a rank above min(m, n) is a failed cell, but one that is not an
-        # integer >= 1 is refused, as is zeta < 1, before any work
+        # integer >= 1 is refused, as is a seed that is not an integer >= 0,
+        # before any work
         built = []
         monkeypatch.setattr(MatrixSpec, "build", lambda self: built.append(self))
-        with pytest.raises(InvalidParamError, match=f"{name} must be an integer >= 1"):
-            run_bench(MatrixSpec.parse(spec), ["ARP", "RPQR"], k_list, [0], zeta=zeta,
+        low = {"k": 1, "seed": 0}[name]
+        with pytest.raises(InvalidParamError, match=f"^{name} must be an integer >= {low}"):
+            run_bench(MatrixSpec.parse(spec), ["ARP", "RPQR"], k_list, seeds,
                       out_path=str(tmp_path / "b"))
         assert not built and not list(tmp_path.iterdir())
 
@@ -399,8 +391,8 @@ class TestRunBench:
             assert r.wall_time_s > 0
 
     def test_shared_seed_reproducibility(self):
-        a = run_bench(SPEC, ["SkARP"], [4], seeds=[7], zeta=2)
-        b = run_bench(SPEC, ["SkARP"], [4], seeds=[7], zeta=2)
+        a = run_bench(SPEC, ["SkARP"], [4], seeds=[7])
+        b = run_bench(SPEC, ["SkARP"], [4], seeds=[7])
         assert a[0].rel_fro_error == b[0].rel_fro_error
         assert a[0].effective_rank == b[0].effective_rank
 
@@ -413,7 +405,7 @@ def test_cell_memory_is_one_decomposition(methods):
     # A's nonempty rows, what run_bench decomposes, so a decomposition,
     # basis or lift kept alive under the next one shows well above the bound
     spec = MatrixSpec.parse("sparse-decay:m=40000,n=1000,nnz=30,seed=0")
-    B = _nonempty_rows(spec.build(), 60, 4)[1]
+    B = _nonempty_rows(spec.build(), 60)[1]
     single = 0
     tracemalloc.start()
     try:

@@ -36,25 +36,25 @@ from rowpick.samplers import rejection_rpqr
 class TestArpConfig:
     def test_defaults(self):
         cfg = ArpConfig(k=5)
-        assert cfg.zeta == 4 and cfg.variant == "osid"
+        assert cfg.variant == "osid" and cfg.seed is None
 
     def test_validation(self):
         with pytest.raises(InvalidParamError):
             ArpConfig(k=0)
-        with pytest.raises(InvalidParamError):
-            ArpConfig(k=3, zeta=0)
+        with pytest.raises(InvalidParamError, match="^seed must be an integer >= 0"):
+            ArpConfig(k=3, seed=-1)
         with pytest.raises(InvalidParamError):
             ArpConfig(k=3, variant="type3")
 
     @pytest.mark.parametrize("kwargs", [
-        {"k": 2.5}, {"k": 2.0}, {"k": "2"}, {"k": 2, "zeta": 1.5},
+        {"k": 2.5}, {"k": 2.0}, {"k": "2"}, {"k": float("nan")},
     ])
     def test_non_integer_or_non_finite_refused(self, kwargs):
         with pytest.raises(InvalidParamError):
             ArpConfig(**kwargs)
 
     def test_numpy_integers_accepted(self):
-        cfg = ArpConfig(k=np.int64(3), zeta=np.int32(2))
+        cfg = ArpConfig(k=np.int64(3), seed=np.int32(2))
         dec = arp_decompose(np.random.default_rng(0).standard_normal((20, 10)), cfg,
                             np.random.default_rng(1))
         assert len(dec.pivots) == 3
@@ -67,7 +67,7 @@ class TestRangefinder:
         # leave a column empty, which the reduced width reports instead)
         rng = np.random.default_rng(1)
         m = 12
-        Q = rangefinder(np.eye(m), m, 4, rng)
+        Q = rangefinder(np.eye(m), m, rng)
         assert Q.shape == (m, m)
         resid = np.eye(m) - Q @ Q.T
         assert np.linalg.norm(resid) <= 1e-10 * np.sqrt(m)
@@ -78,7 +78,7 @@ class TestRangefinder:
         left = orth(rng.standard_normal((40, 3)))
         right = orth(rng.standard_normal((30, 3))).T
         A = left @ np.diag([3.0, 2.0, 1.0]) @ right
-        Q = rangefinder(A, 3, 1, rng)
+        Q = rangefinder(A, 3, rng)
         resid = A - Q @ (Q.T @ A)
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(A)
 
@@ -92,7 +92,7 @@ class TestRangefinder:
             A = np.arange(1, m + 1.0)[:, None] ** -2.0 * rng.standard_normal((m, n))
             sv = np.linalg.svd(A, compute_uv=False)
             opt_half = np.sqrt(np.sum(sv[k // 2:] ** 2))
-            Q = rangefinder(A, k, 4, rng)
+            Q = rangefinder(A, k, rng)
             err = np.linalg.norm(A - Q @ (Q.T @ A))
             if err <= 10.0 * opt_half:
                 hits += 1
@@ -101,14 +101,14 @@ class TestRangefinder:
     def test_width_never_exceeds_k(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((20, 15))
-        Q = rangefinder(A, 5, 4, rng)  # sketch width padded to 8, cut to 5
+        Q = rangefinder(A, 5, rng)  # sketch width padded to 8, cut to 5
         assert Q.shape == (20, 5)
 
     def test_rank_deficient_width_reported(self):
         rng = np.random.default_rng(4)
         base = rng.standard_normal((25, 2))
         A = base @ rng.standard_normal((2, 18))  # exact rank 2
-        Q = rangefinder(A, 6, 2, rng)
+        Q = rangefinder(A, 6, rng)
         assert Q.shape[1] == 2
 
 
@@ -120,7 +120,7 @@ class TestArpDecompose:
         A = np.zeros((m, n))
         A[:k, :k] = np.eye(k)
         for variant in ("type1", "type2", "osid"):
-            cfg = ArpConfig(k=k, zeta=1, variant=variant, seed=11)
+            cfg = ArpConfig(k=k, variant=variant, seed=11)
             dec = arp_decompose(A, cfg)
             assert dec.pivots.as_tuple() == (0, 1, 2)
             np.testing.assert_allclose(
@@ -133,7 +133,7 @@ class TestArpDecompose:
     def test_interpolation_property(self, variant, seed):
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((25, 18))
-        cfg = ArpConfig(k=4, zeta=2, variant=variant)
+        cfg = ArpConfig(k=4, variant=variant)
         dec = arp_decompose(A, cfg, rng)
         sub = dec.w[dec.pivots.indices, :]
         np.testing.assert_array_equal(sub, np.eye(len(dec.pivots)))
@@ -182,7 +182,7 @@ class TestArpDecompose:
 
     def test_seeded_determinism_bitwise(self):
         A = np.random.default_rng(0).standard_normal((20, 14))
-        cfg = ArpConfig(k=4, zeta=2, variant="osid", seed=123)
+        cfg = ArpConfig(k=4, variant="osid", seed=123)
         a = arp_decompose(A, cfg)
         b = arp_decompose(A, cfg)
         np.testing.assert_array_equal(a.pivots.indices, b.pivots.indices)
@@ -194,17 +194,17 @@ class TestArpDecompose:
         with pytest.raises(RankDeficientError, match="numerically zero"):
             arp_decompose(A, ArpConfig(k=3, seed=0))
 
-    @pytest.mark.parametrize("zeta", [1, 2, 4, 8])
+    @pytest.mark.parametrize("seed", [1, 2, 4, 8])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_tiny_shapes(self, variant, zeta):
+    def test_tiny_shapes(self, variant, seed):
         # every valid k on every shape up to 8x8, including those where the
-        # sketch width k rounded up to a multiple of zeta exceeds the rows
-        rng = np.random.default_rng(zeta)
+        # sketch width k rounded up to a multiple of 4 exceeds the rows
+        rng = np.random.default_rng(seed)
         for m in range(1, 9):
             for n in range(1, 9):
                 A = rng.standard_normal((m, n))
                 for k in range(1, min(m, n) + 1):
-                    dec = arp_decompose(A, ArpConfig(k=k, zeta=zeta, variant=variant, seed=k))
+                    dec = arp_decompose(A, ArpConfig(k=k, variant=variant, seed=k))
                     r = len(dec.pivots)
                     assert 1 <= r <= k and dec.w.shape == (m, r)
                     if not dec.pinv_fallback:
@@ -217,9 +217,9 @@ class TestArpDecompose:
         A = A if sparse else A.toarray()
         # the phases run on the rows they are given; arp_decompose runs
         # them on the rows of A that hold a nonzero and lifts the result
-        rows, B = _nonempty_rows(A, 6, 2)
+        rows, B = _nonempty_rows(A, 6)
         assert rows is not None
-        configs = [ArpConfig(k=6, zeta=2, variant=v, seed=9) for v in VARIANTS]
+        configs = [ArpConfig(k=6, variant=v, seed=9) for v in VARIANTS]
         for cfg in configs:
             rng = np.random.default_rng(9)
             Q, pivots = select_pivots(B, cfg, rng)
@@ -252,7 +252,7 @@ class TestArpDecompose:
     def test_variants_share_pivots_for_shared_seed(self):
         A = np.random.default_rng(1).standard_normal((20, 14))
         picks = {
-            v: arp_decompose(A, ArpConfig(k=4, zeta=2, variant=v, seed=5)).pivots.as_tuple()
+            v: arp_decompose(A, ArpConfig(k=4, variant=v, seed=5)).pivots.as_tuple()
             for v in ("type1", "type2", "osid")
         }
         assert len(set(picks.values())) == 1
@@ -263,7 +263,7 @@ class TestArpDecompose:
             A = np.arange(1, 31.0)[:, None] ** -1.0 * rng.standard_normal((30, 22))
             res = {}
             for variant in ("type1", "type2"):
-                cfg = ArpConfig(k=5, zeta=1, variant=variant, seed=seed)
+                cfg = ArpConfig(k=5, variant=variant, seed=seed)
                 res[variant] = residual_fro(A, arp_decompose(A, cfg))
             assert res["type2"] <= res["type1"] + 1e-12 * np.linalg.norm(A)
 
@@ -271,7 +271,7 @@ class TestArpDecompose:
         rng = np.random.default_rng(2)
         base = rng.standard_normal((30, 2))
         A = base @ rng.standard_normal((2, 20))
-        cfg = ArpConfig(k=5, zeta=1, variant="type2")
+        cfg = ArpConfig(k=5, variant="type2")
         dec = arp_decompose(A, cfg, rng)
         assert dec.effective_rank == 2
         assert len(dec.pivots) == 2
@@ -352,12 +352,12 @@ class TestPinvFallback:
 class TestStreamedW:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_blocks_keep_bits(self, block_entries, sparse):
-        # BLOCK_ENTRIES = 100 streams the width-10 osid sketch of 51 rows in
-        # 6 blocks and sketches in blocks with a ragged last one
+        # BLOCK_ENTRIES = 100 streams the width-12 osid sketch of 51 rows in
+        # 7 blocks and sketches in blocks with a ragged last one
         A = gen_decay_sparse(51, 30, 9, np.random.default_rng(13)).toarray()
         A[[7, 8], :] = A[[20, 20], :]  # two equal pairs of rows
         A = sp.csc_array(A) if sparse else A
-        cfg = ArpConfig(k=5, zeta=2, seed=14)
+        cfg = ArpConfig(k=5, seed=14)
         twins = PivotSet(np.array([7, 20, 8, 3]), 51)
 
         def decompositions():
@@ -455,7 +455,7 @@ class TestResidualFro:
     def test_row_blocks_match_dense(self, form, block, block_entries, monkeypatch):
         rng = np.random.default_rng(1)
         A = gen_decay_sparse(300, 120, 10, rng)
-        cfg = ArpConfig(k=6, zeta=2, variant="type2", seed=3)
+        cfg = ArpConfig(k=6, variant="type2", seed=3)
         dec = arp_decompose(A, cfg)
         block_rows = {"m": 300, "m+5": 305}.get(block, block)
         # residual_fro's row of a block: the product's columns (the columns
@@ -488,7 +488,7 @@ class TestResidualFro:
         "form", ["csc", "csr", "coo-duplicates", "csc-duplicates"])
     def test_partial_support_matches_dense(self, form):
         A = gen_decay_sparse(400, 150, 4, np.random.default_rng(4))
-        dec = arp_decompose(A, ArpConfig(k=8, zeta=2, variant="osid", seed=5))
+        dec = arp_decompose(A, ArpConfig(k=8, variant="osid", seed=5))
         assert 0 < self._support(A, dec) < A.shape[1]
         got = residual_fro(self._inputs(A)[form], dec)
         assert got == pytest.approx(self._dense_residual(A, dec), rel=1e-12)
@@ -516,7 +516,7 @@ class TestResidualFro:
 
     def test_explicit_zeros_match_dense(self):
         A = gen_decay_sparse(300, 80, 5, np.random.default_rng(8))
-        dec = arp_decompose(A, ArpConfig(k=6, zeta=2, variant="type2", seed=9))
+        dec = arp_decompose(A, ArpConfig(k=6, variant="type2", seed=9))
         # store a zero in every row, pivot rows included
         rows = np.arange(A.shape[0])
         cols = (7 * rows) % A.shape[1]
@@ -534,7 +534,7 @@ class TestResidualFro:
 
     def test_full_support_bitwise_equals_dense(self):
         A = gen_decay_sparse(200, 40, 120, np.random.default_rng(10))
-        dec = arp_decompose(A, ArpConfig(k=10, zeta=2, variant="type2", seed=11))
+        dec = arp_decompose(A, ArpConfig(k=10, variant="type2", seed=11))
         assert self._support(A, dec) == A.shape[1]
         dense = residual_fro(A.toarray(), dec)
         for form in ("csc", "csr", "coo-duplicates", "csc-duplicates"):
@@ -581,7 +581,7 @@ class TestResidualFro:
         A = gen_decay_sparse(200, 50, 8, rng)
         if not sparse:
             A = A.toarray()
-        dec = arp_decompose(A, ArpConfig(k=5, zeta=1, variant="type2", seed=1))
+        dec = arp_decompose(A, ArpConfig(k=5, variant="type2", seed=1))
         rel = residual_fro(A, dec) / fro_norm(A)
         assert 0.0 < rel < 1.0
         for j in (-600, 600):

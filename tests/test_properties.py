@@ -1,5 +1,5 @@
 """Property tests of the ARP pipeline over generated small inputs: every
-shape up to 8 x 8, every valid k, zeta in {1, 2, 4, 8}, dense and sparse
+shape up to 8 x 8, every valid k, dense and sparse
 input, full rank or not, with zero entries, rows and columns.
 
 Each generated case runs all three variants on the dense matrix and on its
@@ -45,13 +45,12 @@ PROPERTY_SETTINGS = settings(max_examples=100, derandomize=True, deadline=None,
 
 @st.composite
 def cases(draw, exponents=(0, -600, 600)):
-    """``(A, k, zeta, seed)``: ``A`` is a product of Gaussian factors of a
+    """``(A, k, seed)``: ``A`` is a product of Gaussian factors of a
     drawn inner rank, masked entrywise to a drawn density and scaled by
     ``2**e`` for an ``e`` drawn from ``exponents``."""
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 8))
     k = draw(st.integers(1, min(m, n)))
-    zeta = draw(st.sampled_from([1, 2, 4, 8]))
     rank = draw(st.integers(1, min(m, n)))
     density = draw(st.sampled_from([1.0, 0.6, 0.3]))
     scale = draw(st.sampled_from(exponents))
@@ -59,10 +58,10 @@ def cases(draw, exponents=(0, -600, 600)):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
     A *= rng.random((m, n)) < density
-    return np.ldexp(A, scale), k, zeta, seed
+    return np.ldexp(A, scale), k, seed
 
 
-def _decompose(A, k, zeta, seed):
+def _decompose(A, k, seed):
     """``{variant: decomposition}``, or the ``RowpickError`` the first
     variant raised; the variants share the pivot phase, so they all fail
     or none does."""
@@ -70,7 +69,7 @@ def _decompose(A, k, zeta, seed):
     for variant in VARIANTS:
         try:
             out[variant] = arp_decompose(
-                A, ArpConfig(k=k, zeta=zeta, variant=variant, seed=seed))
+                A, ArpConfig(k=k, variant=variant, seed=seed))
         except RowpickError as exc:
             return exc
     return out
@@ -79,9 +78,9 @@ def _decompose(A, k, zeta, seed):
 @PROPERTY_SETTINGS
 @given(cases())
 def test_sparse_and_dense_input_agree(case):
-    A, k, zeta, seed = case
-    dense = _decompose(A, k, zeta, seed)
-    sparse = _decompose(sp.csc_array(A), k, zeta, seed)
+    A, k, seed = case
+    dense = _decompose(A, k, seed)
+    sparse = _decompose(sp.csc_array(A), k, seed)
     if isinstance(dense, RowpickError):
         assert type(sparse) is type(dense)
         return
@@ -99,9 +98,9 @@ def test_sparse_and_dense_input_agree(case):
 @PROPERTY_SETTINGS
 @given(cases())
 def test_residual_finite_and_type2_not_worse(case):
-    A, k, zeta, seed = case
+    A, k, seed = case
     for A_in in (A, sp.csc_array(A)):
-        decs = _decompose(A_in, k, zeta, seed)
+        decs = _decompose(A_in, k, seed)
         if isinstance(decs, RowpickError):
             continue
         res = {v: residual_fro(A_in, dec) for v, dec in decs.items()}
@@ -117,8 +116,8 @@ def test_residual_finite_and_type2_not_worse(case):
 @PROPERTY_SETTINGS
 @given(cases(exponents=(0,)), st.sampled_from([-600, 600]))
 def test_pivots_invariant_under_power_of_two_scaling(case, j):
-    A, k, zeta, seed = case
-    cfg = ArpConfig(k=k, zeta=zeta, seed=seed)
+    A, k, seed = case
+    cfg = ArpConfig(k=k, seed=seed)
     for A_in in (A, sp.csc_array(A)):
         try:
             ref = arp_decompose(A_in, cfg)
@@ -162,14 +161,13 @@ def test_orth_in_leaves_agrees_with_one_leaf(case):
 
 @st.composite
 def tall_sparse_cases(draw):
-    """``(A, k, zeta, seed)``: ``A`` (at most 200 x 12, CSC) a product of
+    """``(A, k, seed)``: ``A`` (at most 200 x 12, CSC) a product of
     Gaussian factors of a drawn inner rank, masked entrywise to a drawn
     density, with a drawn share of its rows zeroed, some of those stored as
     explicit zeros."""
     n = draw(st.integers(1, 12))
     m = draw(st.integers(n, 200))
     k = draw(st.integers(1, n))
-    zeta = draw(st.sampled_from([1, 2, 4, 8]))
     rank = draw(st.integers(1, n))
     density = draw(st.sampled_from([1.0, 0.3]))
     empty = draw(st.sampled_from([0.5, 0.8, 0.95]))
@@ -185,27 +183,28 @@ def tall_sparse_cases(draw):
                       (np.concatenate([A.row, stored]),
                        np.concatenate([A.col, stored % n]))), shape=(m, n))
     A.sum_duplicates()
-    return A, k, zeta, seed
+    return A, k, seed
 
 
 @PROPERTY_SETTINGS
 @given(st.one_of(cases(), tall_sparse_cases()))
 def test_rows_without_a_nonzero_are_skipped(case):
-    A, k, zeta, seed = case
+    A, k, seed = case
     D = A.toarray() if sp.issparse(A) else A
     m = D.shape[0]
     rows = np.flatnonzero(D.any(axis=1))
     empty = np.flatnonzero(~D.any(axis=1))
-    # with fewer nonempty rows than the sketch width, A is decomposed whole
-    skipped = -(-k // zeta) * zeta <= rows.size < m
+    # with fewer nonempty rows than the sketch width, k rounded up to a
+    # multiple of 4, A is decomposed whole
+    skipped = -(-k // 4) * 4 <= rows.size < m
     for A_in, sub in ((D, D[rows]), (sp.csc_array(A), sp.csr_array(A)[rows])):
         for method in METHOD_ORDER:
             try:
-                dec = run_method(method, A_in, k, np.random.default_rng(seed), zeta=zeta)
+                dec = run_method(method, A_in, k, np.random.default_rng(seed))
             except RowpickError as exc:
                 if skipped:
                     with pytest.raises(type(exc)):
-                        run_method(method, sub, k, np.random.default_rng(seed), zeta=zeta)
+                        run_method(method, sub, k, np.random.default_rng(seed))
                 continue
             W, S = dec.w, dec.pivots.indices
             want = fro_norm(D - W @ D[S])
@@ -215,7 +214,7 @@ def test_rows_without_a_nonzero_are_skipped(case):
                 continue
             assert not np.isin(S, empty).any()
             assert not W[empty].any()
-            ref = run_method(method, sub, k, np.random.default_rng(seed), zeta=zeta)
+            ref = run_method(method, sub, k, np.random.default_rng(seed))
             lifted = np.zeros_like(W)
             lifted[rows] = ref.w
             assert dec.pivots == PivotSet(rows[ref.pivots.indices], m)

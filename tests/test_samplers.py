@@ -136,6 +136,21 @@ class TestPivotSet:
         with pytest.raises(IndexError):
             PivotSet(np.array([4]), 4)
 
+    @pytest.mark.parametrize("indices", [[1.5, 2.7], np.array([1.0, 2.0]),
+                                         np.array([True, False])])
+    def test_non_integer_indices_rejected(self, indices):
+        # a float index would be truncated, a bool read as 0 or 1
+        with pytest.raises(InvalidParamError, match="must be integers"):
+            PivotSet(indices, 5)
+
+    @pytest.mark.parametrize("indices", [[], np.array([], dtype=float),
+                                         np.array([3, 1], dtype=np.int32),
+                                         np.array([3, 1], dtype=np.uint8)])
+    def test_empty_or_integer_indices_accepted(self, indices):
+        pivots = PivotSet(indices, 5)
+        assert pivots.indices.dtype == np.intp
+        assert pivots.indices.tolist() == list(indices)
+
     def test_equality_and_hash(self):
         a, b = PivotSet(np.array([1, 2]), 5), PivotSet([1, 2], 5)
         assert a == b and not a != b
@@ -682,7 +697,7 @@ class TestPinnedBlockAbsorbs:
                             lambda qr, C: absorbed.append((qr.k_cur, C.shape[1]))
                             or real(qr, C))
         rng = np.random.default_rng(0)
-        sampler = RejectionSampler(rangefinder(gen_decay_dense(600, 600, rng), 40, 4, rng))
+        sampler = RejectionSampler(rangefinder(gen_decay_dense(600, 600, rng), 40, rng))
         rng = np.random.default_rng(1)
         pivots, rounds = zip(*(sampler.draw(rng) for _ in self.ROUNDS))
         assert [p.indices.tolist() for p in pivots] == self.PIVOTS

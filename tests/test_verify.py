@@ -179,7 +179,7 @@ class TestCli:
         report_path = tmp_path / "report.json"
         status = main([
             "decompose", "--matrix", f"file:path={target}", "--k", "4",
-            "--method", "ProjARP", "--seed", "5", "--zeta", "2",
+            "--method", "ProjARP", "--seed", "5",
             "--out", str(report_path),
         ])
         assert status == 0
@@ -195,7 +195,7 @@ class TestCli:
         status = main([
             "bench", "--matrix", "dense-decay:m=50,n=30,seed=0",
             "--k", "3,5", "--method", "ARP,ProjARP", "--trials", "2",
-            "--zeta", "2", "--out", str(out),
+            "--out", str(out),
         ])
         assert status == 0
         csv_text = (tmp_path / "bench.csv").read_text()
@@ -221,18 +221,26 @@ class TestCli:
         ["bench", "--matrix", "kernel:g=4", "--k", "2,x"],
         ["bench", "--matrix", "kernel:g=4", "--k", ","],
         ["bench", "--matrix", "kernel:g=4", "--k", "2", "--trials", "0"],
+        ["decompose", "--matrix", "kernel:g=4", "--k", "2", "--seed=-1"],
+        ["bench", "--matrix", "kernel:g=4", "--k", "2", "--seed=-1"],
+        ["verify", "--seed=-1"],
     ])
     def test_malformed_arguments_are_reported(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        if argv[0] != "verify":  # the one subcommand that writes no file
+            argv = argv + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        if "--seed=-1" in argv:
+            assert err == "error: seed must be an integer >= 0, got -1\n"
+            assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
-        ["--matrix", "sparse-decay:m=300,n=40,nnz=3,seed=0", "--k", "3", "--zeta", "0"],
-        ["--matrix", "dense-decay:m=30,n=30,seed=0", "--k", "3", "--zeta", "0"],
+        ["--matrix", "sparse-decay:m=300,n=40,nnz=3,seed=0", "--k", "3,0"],
+        ["--matrix", "dense-decay:m=30,n=30,seed=0", "--k", "0"],
         ["--matrix", "kernel:g=4", "--k=-2"],
     ])
-    def test_bench_bad_rank_or_zeta_exits_2(self, argv, tmp_path, capsys):
+    def test_bench_bad_rank_exits_2(self, argv, tmp_path, capsys):
         assert main(["bench"] + argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be an integer >= 1" in err
